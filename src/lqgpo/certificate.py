@@ -29,10 +29,8 @@ from .lqg import (
     close_loop,
     lqg_cost,
     lqg_gradient,
+    lqr_terms,
 )
-from .solvers import lyap_ct
-from .errors import UnstableError
-from .ss import EPS_STAB
 
 TOL_GRAD = 1e-6
 TOL_MARKOV = 1e-6
@@ -239,16 +237,10 @@ class LqrCertificate:
 
 
 def lqr_certificate(prob: LqrProblem, K, tol: float = TOL_MARKOV) -> LqrCertificate:
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+    _, gap, Sigma, P = lqr_terms(prob, K)
     Acl = prob.closed_loop(K)
-    if np.max(np.linalg.eigvals(Acl).real) >= -EPS_STAB:
-        raise UnstableError("gain does not stabilize the loop")
-    P = lyap_ct(Acl, prob.Q + K.T @ prob.R @ K, check_definiteness=False).solution
-    Sigma = lyap_ct(Acl.T, np.eye(Acl.shape[0]), check_definiteness=False).solution
-    gap = prob.R @ K - prob.B.T @ P
     norms = []
     M = Sigma
-    scale = max(np.linalg.norm(gap, "fro") * np.linalg.norm(Sigma, "fro"), 1e-300)
     for _ in range(Acl.shape[0]):
         norms.append(float(np.linalg.norm(gap @ M, "fro")))
         M = Acl @ M

@@ -102,7 +102,8 @@ def _metadata(seed=None, **settings):
     }
 
 
-# Documented ranges for every numeric experiment parameter.
+# Documented ranges for every numeric experiment parameter: (lo, hi,
+# integer).  Integer fields include their lower bound, real ones exclude it.
 _CONFIG_RANGES = {
     "eta": (0.0, 100.0, False),
     "pg_step": (0.0, 1e6, False),
@@ -116,7 +117,8 @@ _CONFIG_RANGES = {
 
 def _merge_config(config_path, flags: dict, defaults: dict) -> dict:
     """Layer config: built-in defaults, then config file, then explicit flags.
-    Every numeric field is range-checked before any computation starts."""
+    Every numeric field is type- and range-checked before any computation
+    starts."""
     merged = dict(defaults)
     if config_path:
         file_cfg = _load_json(config_path)
@@ -128,12 +130,17 @@ def _merge_config(config_path, flags: dict, defaults: dict) -> dict:
         if value is not None:
             merged[key] = value
     for key, value in merged.items():
-        lo, hi, inclusive_lo = _CONFIG_RANGES[key]
-        ok = (value >= lo if inclusive_lo else value > lo) and value <= hi
+        lo, hi, integer = _CONFIG_RANGES[key]
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise ValueError(
+                f"config field {key}={value!r} must be "
+                f"{'an integer' if integer else 'a real number'}"
+            )
+        ok = (value >= lo if integer else value > lo) and value <= hi
         if not ok:
             raise ValueError(
                 f"config field {key}={value!r} outside the allowed range "
-                f"{'[' if inclusive_lo else '('}{lo}, {hi}]"
+                f"{'[' if integer else '('}{lo}, {hi}]"
             )
     return merged
 

@@ -364,7 +364,9 @@ class LqrProblem:
         return self.A - self.B @ np.atleast_2d(np.asarray(K, dtype=float))
 
 
-def _lqr_terms(prob: LqrProblem, K):
+def lqr_terms(prob: LqrProblem, K):
+    """Cost, stationarity gap R K - B^T P_K, and the Lyapunov pair Sigma_K,
+    P_K of a stabilizing gain K."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
     Acl = prob.closed_loop(K)
     if np.max(np.linalg.eigvals(Acl).real) >= -EPS_STAB:
@@ -373,7 +375,7 @@ def _lqr_terms(prob: LqrProblem, K):
     Sigma = lyap_ct(Acl.T, np.eye(Acl.shape[0]), check_definiteness=False).solution
     cost = float(np.trace(Sigma @ (prob.Q + K.T @ prob.R @ K)))
     gap = prob.R @ K - prob.B.T @ P
-    return cost, gap, Sigma
+    return cost, gap, Sigma, P
 
 
 def lqr_cost_grad(prob: LqrProblem, K) -> tuple[float, np.ndarray]:
@@ -384,7 +386,7 @@ def lqr_cost_grad(prob: LqrProblem, K) -> tuple[float, np.ndarray]:
     which is also twice the stable residue sum of the associated
     optimality transfer function.
     """
-    cost, gap, Sigma = _lqr_terms(prob, K)
+    cost, gap, Sigma, _ = lqr_terms(prob, K)
     return cost, 2.0 * gap @ Sigma
 
 
@@ -413,7 +415,7 @@ def lqr_gradient_descent(
     which can be small while the gap is not.
     """
     K = np.atleast_2d(np.asarray(K0, dtype=float))
-    cost, gap, Sigma = _lqr_terms(prob, K)
+    cost, gap, Sigma, _ = lqr_terms(prob, K)
     history = [cost]
     eta = step
     best = (np.linalg.norm(gap, "fro"), K)
@@ -434,7 +436,7 @@ def lqr_gradient_descent(
         for _ in range(max_halvings):
             cand = K - eta * grad
             try:
-                cand_cost, cand_gap, cand_Sigma = _lqr_terms(prob, cand)
+                cand_cost, cand_gap, cand_Sigma, _ = lqr_terms(prob, cand)
             except (UnstableError, SolverError):
                 eta *= 0.5
                 halved = True

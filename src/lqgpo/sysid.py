@@ -1,6 +1,8 @@
 """Data-driven estimation: frequency-response acquisition, rational fitting,
 Laguerre-basis expansion of the sensitivity system, and Monte-Carlo
-zeroth-order estimation of the masked residue.
+zeroth-order estimation of the masked residue.  The zeroth-order estimator
+runs on the odd part of the lifted cost, which is linear in the static
+parameter and is measured once from exact cost probes.
 
 The sine-excitation simulator and the zeroth-order estimator are written
 against the noise-free setting; they validate the estimation pipeline
@@ -322,28 +324,22 @@ def reduce_order(
     num_deg: int,
     den_deg: int,
     grid,
-    weighting: str = "h2",
 ) -> RationalScalar:
     """Fit a reduced-order rational function to one entry's Laguerre expansion.
 
     The expansion is evaluated on the grid and passed through the rational
-    least-squares fit.  The default "h2" weighting combines trapezoid
-    quadrature cell widths with a denominator-magnitude rolloff, which
-    compensates the high-frequency amplification of the linearized residual
-    and makes the weighted fit track the H2 error; "flat" uses unit weights.
+    least-squares fit.  The weights combine trapezoid quadrature cell widths
+    with a denominator-magnitude rolloff, which compensates the
+    high-frequency amplification of the linearized residual and makes the
+    weighted fit track the H2 error.
     """
     coeffs_entry = np.asarray(coeffs_entry, dtype=float).reshape(1, 1, -1)
     expansion = laguerre_reconstruct(coeffs_entry, basis)
     grid = np.asarray(list(grid), dtype=float)
-    if weighting == "h2":
-        edges = np.concatenate(
-            [[grid[0]], np.sqrt(grid[:-1] * grid[1:]), [grid[-1]]]
-        )
-        weights = np.sqrt(np.diff(edges)) / (1.0 + grid**2) ** (den_deg / 2.0)
-    elif weighting == "flat":
-        weights = np.ones_like(grid)
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
+    edges = np.concatenate(
+        [[grid[0]], np.sqrt(grid[:-1] * grid[1:]), [grid[-1]]]
+    )
+    weights = np.sqrt(np.diff(edges)) / (1.0 + grid**2) ** (den_deg / 2.0)
     samples = [
         FreqSample(float(w), freq_response(expansion, float(w)), float(wt))
         for w, wt in zip(grid, weights)
@@ -402,80 +398,37 @@ def zo_gradient_estimate(cost_fn, shape, mask_rows, mask_cols, cfg: ZoConfig) ->
     return acc / cfg.samples
 
 
-class _StaticQuadraticCost:
-    """Exact quadratic model of the lifted cost over the static masked block.
-
-    The lifted cost is an exactly quadratic polynomial in the static
-    parameter (the performance map is affine in it and the squared H2 norm
-    is quadratic), so the model built from finitely many exact cost probes
-    reproduces every evaluation; it exists purely to make large Monte-Carlo
-    sweeps cheap.
-    """
-
-    def __init__(self, nom: NominalLft, it: YoulaIterate, probe_scale: float = 1.0):
-        self.nom = nom
-        self.it = it
-        shape = (nom.q_rows, nom.q_cols)
-        positions = _masked_positions(shape, nom.mask_rows, nom.mask_cols)
-        self.positions = positions
-        d = len(positions)
-        h = probe_scale
-
-        def honest(U):
-            return lifted_cost(nom, YoulaIterate(it.Q_dyn, it.Q_stat + U))
-
-        self.honest = honest
-        self.j0 = honest(np.zeros(shape))
-        basis = []
-        for r, c in positions:
-            E = np.zeros(shape)
-            E[r, c] = h
-            basis.append(E)
-        j_plus = np.array([honest(E) for E in basis])
-        j_minus = np.array([honest(-E) for E in basis])
-        self.g = (j_plus - j_minus) / (2.0 * h)
-        H = np.zeros((d, d))
-        diag = (j_plus + j_minus - 2.0 * self.j0) / h**2
-        np.fill_diagonal(H, diag)
-        for a in range(d):
-            for b in range(a + 1, d):
-                jab = honest(basis[a] + basis[b])
-                H[a, b] = H[b, a] = (
-                    jab - j_plus[a] - j_plus[b] + self.j0
-                ) / h**2
-        self.H = H
-
-    def flatten(self, U):
-        return np.array([U[r, c] for r, c in self.positions])
-
-    def __call__(self, U):
-        u = self.flatten(U)
-        return float(self.j0 + self.g @ u + 0.5 * u @ self.H @ u)
-
-
-def zo_residue_estimate(
-    nom: NominalLft, it: YoulaIterate, cfg: ZoConfig, fast: bool = True
-) -> np.ndarray:
+def zo_residue_estimate(nom: NominalLft, it: YoulaIterate, cfg: ZoConfig) -> np.ndarray:
     """Zeroth-order estimate of the static-part gradient 2*mask(Res(S)).
 
-    With fast=True the cost oracle is replaced by its exact quadratic model
-    (validated against a direct evaluation); the Monte-Carlo estimate itself
-    is unchanged.
+    The two-point estimator only sees the odd part of the cost,
+    J(U) - J(-U) = 2 g^T u, because the lifted cost is exactly quadratic in
+    the static parameter.  So g is taken once from 2d exact central
+    differences over the d masked entries, checked against one honest probe
+    along all of them, and the Monte-Carlo sweep runs on U -> g^T u.  The
+    estimate is that of honest probes up to rounding.
     """
     it.validate(nom)
     shape = (nom.q_rows, nom.q_cols)
-    if fast:
-        model = _StaticQuadraticCost(nom, it)
-        probe = np.zeros(shape)
-        pos = model.positions[-1]
-        probe[pos] = 0.37
-        direct = model.honest(probe)
-        modeled = model(probe)
-        if abs(direct - modeled) > 1e-8 * max(1.0, abs(direct)):
-            raise ArithmeticError("quadratic cost model failed validation")
-        cost_fn = model
-    else:
-        def cost_fn(U):
-            return lifted_cost(nom, YoulaIterate(it.Q_dyn, it.Q_stat + U))
+    positions = _masked_positions(shape, nom.mask_rows, nom.mask_cols)
+    if not positions:
+        return np.zeros(shape)
 
-    return zo_gradient_estimate(cost_fn, shape, nom.mask_rows, nom.mask_cols, cfg)
+    def honest(U):
+        return lifted_cost(nom, YoulaIterate(it.Q_dyn, it.Q_stat + U))
+
+    g = np.zeros(shape)
+    probe = np.zeros(shape)
+    for pos in positions:
+        E = np.zeros(shape)
+        E[pos] = 1.0
+        g[pos] = (honest(E) - honest(-E)) / 2.0
+        probe[pos] = 0.37
+    j_plus = honest(probe)
+    if abs(j_plus - honest(-probe) - 2.0 * np.vdot(g, probe)) > 1e-8 * max(1.0, abs(j_plus)):
+        raise ArithmeticError("odd part of the cost failed validation")
+
+    def odd_part(U):
+        return float(np.vdot(g, U))
+
+    return zo_gradient_estimate(odd_part, shape, nom.mask_rows, nom.mask_cols, cfg)

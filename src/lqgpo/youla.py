@@ -315,12 +315,11 @@ def run_lifted_gradient_descent(
     from Q_stat.  Records cost, gradient norm, and the dynamic order at
     every iterate including the final one.
     """
-    if eta is None:
-        L = estimate_smoothness(nom)
-        eta = min(0.1, 1.9 / L) if L > 0 else 0.1
-    if eta <= 0:
+    if eta is not None and eta <= 0:
         raise ValueError("step size must be positive")
     L_hat = estimate_smoothness(nom)
+    if eta is None:
+        eta = min(0.1, 1.9 / L_hat) if L_hat > 0 else 0.1
     if L_hat > 0 and eta >= 2.0 / L_hat:
         logger.warning(
             "step size %.3g exceeds the 2/L guideline (L estimate %.3g)", eta, L_hat

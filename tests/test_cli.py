@@ -291,3 +291,17 @@ class TestExperiments:
             main, ["example1", "--out", str(tmp_path / "x"), "--config", str(cfg)]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [("example1", {"iters": 2.5}), ("example1", {"eta": "0.1"}),
+         ("example1", {"pg_step": True}), ("example2", {"seed": 1.0})],
+    )
+    def test_mistyped_config_value_rejected(self, runner, tmp_path, command, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(field))
+        result = runner.invoke(
+            main, [command, "--out", str(tmp_path / "x"), "--config", str(cfg)]
+        )
+        assert result.exit_code == 2
+        assert "must be" in result.output

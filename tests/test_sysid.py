@@ -38,9 +38,10 @@ from lqgpo.youla import (
     build_nominal,
     frechet_gradient,
     iterate_from_controller,
+    lifted_cost,
     sensitivity,
 )
-from lqgpo.lqg import lqg_optimal
+from lqgpo.lqg import DynController, lqg_optimal
 
 
 def lag_half():
@@ -358,9 +359,38 @@ class TestZerothOrder:
     def test_fast_path_matches_honest_evaluation(self, nom_ex2):
         it0 = YoulaIterate.zero(nom_ex2)
         cfg = ZoConfig(1e-2, 40, 3)
-        fast = zo_residue_estimate(nom_ex2, it0, cfg, fast=True)
-        slow = zo_residue_estimate(nom_ex2, it0, cfg, fast=False)
+
+        def honest(U):
+            return lifted_cost(nom_ex2, YoulaIterate(it0.Q_dyn, it0.Q_stat + U))
+
+        fast = zo_residue_estimate(nom_ex2, it0, cfg)
+        slow = zo_gradient_estimate(
+            honest, it0.Q_stat.shape, nom_ex2.mask_rows, nom_ex2.mask_cols, cfg
+        )
         assert np.allclose(fast, slow, rtol=1e-6, atol=1e-9)
+
+    def test_cost_probe_count(self, nom_ex2, monkeypatch):
+        import lqgpo.sysid as sysid
+
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return lifted_cost(*args)
+
+        monkeypatch.setattr(sysid, "lifted_cost", counting)
+        it0 = YoulaIterate.zero(nom_ex2)
+        d = nom_ex2.q_rows * nom_ex2.q_cols - nom_ex2.mask_rows * nom_ex2.mask_cols
+        assert d == 8
+        zo_residue_estimate(nom_ex2, it0, ZoConfig(1e-5, 500, 0))
+        assert len(calls) == 2 * d + 2
+
+    def test_empty_masked_block_gives_zero(self, plant1):
+        m1, m2 = plant1.B.shape[1], plant1.C.shape[0]
+        ctrl = DynController(np.zeros((0, 0)), np.zeros((0, m2)), np.zeros((m1, 0)))
+        nom = build_nominal(plant1, ctrl)
+        est = zo_residue_estimate(nom, YoulaIterate.zero(nom), ZoConfig(1e-5, 10, 0))
+        assert np.array_equal(est, np.zeros((nom.q_rows, nom.q_cols)))
 
     def test_deterministic_given_seed(self, nom_ex2):
         it0 = YoulaIterate.zero(nom_ex2)

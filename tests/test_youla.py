@@ -236,6 +236,20 @@ class TestDescentRun:
         records, _ = run_lifted_gradient_descent(nom_stationary, eta=None, iters=2)
         assert records[-1].cost <= records[0].cost
 
+    @pytest.mark.parametrize("eta", [None, 0.1])
+    def test_smoothness_estimated_once(self, nom_stationary, monkeypatch, eta):
+        import lqgpo.youla as youla
+
+        calls = []
+
+        def counting(nom):
+            calls.append(1)
+            return estimate_smoothness(nom)
+
+        monkeypatch.setattr(youla, "estimate_smoothness", counting)
+        run_lifted_gradient_descent(nom_stationary, eta=eta, iters=1)
+        assert len(calls) == 1
+
 
 class TestReconstruction:
     def test_zero_iterate_gives_zero_delta(self, nom_ex2):
