@@ -98,7 +98,10 @@ def markov_test(cm: CertificateMatrices, Acl: np.ndarray, count: int) -> list[fl
 
 def normalized_markov(cm: CertificateMatrices, Acl: np.ndarray, count: int) -> list[float]:
     """Markov norms divided by ||Cterm|| ||Acl||^i ||Bterm|| (0/0 -> 0)."""
-    raw = markov_test(cm, Acl, count)
+    return _normalize(cm, Acl, markov_test(cm, Acl, count))
+
+
+def _normalize(cm: CertificateMatrices, Acl: np.ndarray, raw: list[float]) -> list[float]:
     c_scale = np.linalg.norm(cm.Cterm, "fro")
     b_scale = np.linalg.norm(cm.Bterm, "fro")
     a_scale = np.linalg.norm(Acl, 2)
@@ -198,7 +201,7 @@ def certify(
     cm = build_certificate_matrices(plant, ctrl, cl)
     count = cl.n + cl.q
     raw = markov_test(cm, cl.Acl, count)
-    normalized = normalized_markov(cm, cl.Acl, count)
+    normalized = _normalize(cm, cl.Acl, raw)
     stationary = grad_norm <= tol_grad * (1.0 + abs(cost))
     if not stationary:
         verdict = Verdict.NOT_STATIONARY

@@ -146,15 +146,18 @@ def _merge_config(config_path, flags: dict, defaults: dict) -> dict:
 
 
 def _run_command(body):
-    """Uniform exit-code contract: 2 for input errors, 3 for numerical failures."""
+    """Uniform exit-code contract: 2 for input errors, 3 for numerical failures.
+
+    numpy's LinAlgError subclasses ValueError, so it is caught first.
+    """
     try:
         body()
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
 
 
 @click.group()
@@ -248,7 +251,7 @@ def _optimize_rows(records, jstar):
 @click.option("--plant", "plant_path", required=True, type=click.Path(exists=True))
 @click.option("--controller", "ctrl_path", required=True, type=click.Path(exists=True))
 @click.option("--eta", type=float, default=0.1, show_default=True)
-@click.option("--iters", type=int, default=14, show_default=True)
+@click.option("--iters", type=click.IntRange(min=0), default=14, show_default=True)
 @click.option("--trunc-tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--save-controller", "save_path", type=click.Path(), default=None)
@@ -291,7 +294,7 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, trunc_tol, out_path, save_pa
 @click.option("--plant", "plant_path", required=True, type=click.Path(exists=True))
 @click.option("--controller", "ctrl_path", required=True, type=click.Path(exists=True))
 @click.option("--step", type=float, default=10.0, show_default=True)
-@click.option("--iters", type=int, default=14, show_default=True)
+@click.option("--iters", type=click.IntRange(min=0), default=14, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_pg(plant_path, ctrl_path, step, iters, out_path):
     """Vanilla policy gradient baseline on the controller parameters."""

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import solvers
 from .errors import DimensionError, SolverError, UnstableError
-from .solvers import lyap_ct, psd_sqrt
-from .ss import EPS_STAB, StateSpace
+from .ss import StateSpace
 
 # Dual-trace agreement required of every constructed closed loop.
 COST_CONSISTENCY_RTOL = 1e-8
@@ -210,18 +209,18 @@ def close_loop(plant: LqgPlant, ctrl: DynController) -> ClosedLoop:
     if ctrl.C_K.shape[0] != plant.n_inputs:
         raise DimensionError("C_K row count must equal the plant input count")
     n, q = plant.n, ctrl.order
-    Acl = loop_matrix(plant, ctrl)
-    if np.max(np.linalg.eigvals(Acl).real) >= -EPS_STAB:
+    form = solvers.schur_form(loop_matrix(plant, ctrl))
+    if not form.is_stable():
         raise UnstableError("controller not stabilizing")
     Bcl = np.zeros((n + q, n + plant.n_outputs))
-    Bcl[:n, :n] = psd_sqrt(plant.W)
-    Bcl[n:, n:] = ctrl.B_K @ psd_sqrt(plant.V)
+    Bcl[:n, :n] = solvers.psd_sqrt(plant.W)
+    Bcl[n:, n:] = ctrl.B_K @ solvers.psd_sqrt(plant.V)
     Ccl = np.zeros((n + plant.n_inputs, n + q))
-    Ccl[:n, :n] = psd_sqrt(plant.Q)
-    Ccl[n:, n:] = psd_sqrt(plant.R) @ ctrl.C_K
-    P = lyap_ct(Acl, Ccl.T @ Ccl, check_definiteness=False).solution
-    Sigma = lyap_ct(Acl.T, Bcl @ Bcl.T, check_definiteness=False).solution
-    return ClosedLoop(Acl, Bcl, Ccl, P, Sigma, n, q)
+    Ccl[:n, :n] = solvers.psd_sqrt(plant.Q)
+    Ccl[n:, n:] = solvers.psd_sqrt(plant.R) @ ctrl.C_K
+    P = solvers.solve(form, form, Ccl.T @ Ccl, trans_a=True).solution
+    Sigma = solvers.solve(form, form, Bcl @ Bcl.T, trans_b=True).solution
+    return ClosedLoop(form.A, Bcl, Ccl, P, Sigma, n, q)
 
 
 def performance_realization(cl: ClosedLoop) -> StateSpace:
@@ -368,12 +367,13 @@ def lqr_terms(prob: LqrProblem, K):
     """Cost, stationarity gap R K - B^T P_K, and the Lyapunov pair Sigma_K,
     P_K of a stabilizing gain K."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    Acl = prob.closed_loop(K)
-    if np.max(np.linalg.eigvals(Acl).real) >= -EPS_STAB:
+    form = solvers.schur_form(prob.closed_loop(K))
+    if not form.is_stable():
         raise UnstableError("gain does not stabilize the loop")
-    P = lyap_ct(Acl, prob.Q + K.T @ prob.R @ K, check_definiteness=False).solution
-    Sigma = lyap_ct(Acl.T, np.eye(Acl.shape[0]), check_definiteness=False).solution
-    cost = float(np.trace(Sigma @ (prob.Q + K.T @ prob.R @ K)))
+    weight = prob.Q + K.T @ prob.R @ K
+    P = solvers.solve(form, form, weight, trans_a=True).solution
+    Sigma = solvers.solve(form, form, np.eye(form.A.shape[0]), trans_b=True).solution
+    cost = float(np.trace(Sigma @ weight))
     gap = prob.R @ K - prob.B.T @ P
     return cost, gap, Sigma, P
 

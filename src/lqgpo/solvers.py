@@ -1,28 +1,24 @@
-"""Dense Lyapunov, Sylvester, and continuous-time Riccati solvers.
-
-Sized for the desk-scale problems in this package (state dimension well
-under 50).  Every solve returns or is backed by an independently recomputed
-residual so downstream code never trusts an uncertified solution.  The
-Riccati path seeds from a Schur-based solve and polishes with
-Newton-Kleinman iterations until the residual certifies.
-"""
+"""Dense Lyapunov, Sylvester and continuous-time Riccati solvers, and the
+stability test: the one module that factors a matrix for an equation or a
+stability decision.  Sized for desk-scale problems (state dimension well
+under 50).  A matrix is factored once, into its real Schur form, which gives
+its eigenvalues and serves every equation on it; every Lyapunov and
+Sylvester solve is one Bartels-Stewart routine (`solve`) that refuses
+near-singular equations and certifies its result by an independently
+recomputed residual.  Riccati solutions are polished by Newton-Kleinman."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import DimensionError, SolverError
 
-
-class Definiteness(enum.Enum):
-    PD = "positive_definite"
-    PSD = "positive_semidefinite"
-    INDEFINITE = "indefinite"
-    NOT_CHECKED = "not_checked"
+# Stability margin: eigenvalues must satisfy Re(lambda) < -EPS_STAB.
+EPS_STAB = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,7 +27,20 @@ class SolveReport:
 
     solution: np.ndarray
     residual_norm: float
-    definiteness: Definiteness = Definiteness.NOT_CHECKED
+
+
+@dataclass(frozen=True, eq=False)
+class SchurForm:
+    """Real Schur form A = Z T Z^T; eigs are read off T's diagonal blocks."""
+
+    A: np.ndarray
+    T: np.ndarray
+    Z: np.ndarray
+    eigs: np.ndarray
+
+    def is_stable(self, eps: float = EPS_STAB) -> bool:
+        """Every eigenvalue has Re(lambda) < -eps (true when A is empty)."""
+        return bool(np.all(self.eigs.real < -eps))
 
 
 def _square(M, name):
@@ -41,15 +50,83 @@ def _square(M, name):
     return M
 
 
-def _classify(X, tol=1e-10):
-    if X.size == 0:
-        return Definiteness.PSD
-    w = np.linalg.eigvalsh(0.5 * (X + X.T))
-    if w.min() > tol:
-        return Definiteness.PD
-    if w.min() >= -tol * max(1.0, w.max()):
-        return Definiteness.PSD
-    return Definiteness.INDEFINITE
+def _form(A, T, Z):
+    eigs = np.diag(T).astype(complex)
+    k = np.flatnonzero(np.diagonal(T, -1))  # leading rows of the 2x2 blocks
+    a, b, c, d = T[k, k], T[k, k + 1], T[k + 1, k], T[k + 1, k + 1]
+    re = 0.5 * (a + d)
+    im = np.sqrt(np.maximum(-b * c - 0.25 * (a - d) ** 2, 0.0))
+    eigs[k], eigs[k + 1] = re + 1j * im, re - 1j * im
+    return SchurForm(A, T, Z, eigs)
+
+
+def schur_form(A) -> SchurForm:
+    """The real Schur form of a square matrix."""
+    A = _square(A, "A")
+    if A.size == 0:
+        return SchurForm(A, A, A, np.zeros(0, complex))
+    T, Z = sla.schur(A, output="real")
+    return _form(A, T, Z)
+
+
+def stable_first_form(A) -> tuple[SchurForm, int]:
+    """Real Schur form with the k eigenvalues of Re < 0 leading, and k."""
+    T, Z, k = sla.schur(A, output="real", sort="lhp")
+    return _form(A, T, Z), int(k)
+
+
+def decoupling(form: SchurForm, k: int) -> np.ndarray:
+    """X with T11 X - X T22 + T12 = 0 for T split after row k: the similarity
+    [[I, X], [0, I]] block-diagonalizes T."""
+    lead, trail, eye = form.T[:k, :k], -form.T[k:, k:], np.eye(form.T.shape[0])
+    return solve(SchurForm(lead, lead, eye[:k, :k], form.eigs[:k]),
+                 SchurForm(trail, trail, eye[k:, k:], -form.eigs[k:]), form.T[:k, k:]).solution
+
+
+def is_stable(A, eps: float = EPS_STAB) -> bool:
+    """Every eigenvalue of the square matrix A has Re(lambda) < -eps."""
+    return A.size == 0 or bool(np.all(np.linalg.eigvals(A).real < -eps))
+
+
+def solve(
+    fa: SchurForm, fb: SchurForm, C, trans_a: bool = False, trans_b: bool = False
+) -> SolveReport:
+    """Solve op(A) X + X op(B) + C = 0 from the Schur forms of A and B, with
+    op(M) = M^T where trans_* is set (Bartels-Stewart on LAPACK trsyl).
+
+    With fa and fb the same form and one side transposed, this is a Lyapunov
+    equation and X comes out exactly symmetric.  Raises SolverError when
+    min |lambda_i + mu_j| <= 1e-12 max(1, |lambda|max, |mu|max) over the
+    eigenvalues of A and B (the solution is not unique), or when the
+    residual exceeds 1e-10 ((||A|| + ||B||) ||X|| + ||C||) (Frobenius norms,
+    ||A|| once for a Lyapunov equation) and 1e-12.
+    """
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    shape = (fa.A.shape[0], fb.A.shape[0])
+    if C.shape != shape:
+        raise DimensionError(f"right-hand side must have shape {shape}, got {C.shape}")
+    if C.size == 0:
+        return SolveReport(np.zeros(shape), 0.0)
+    gap = np.abs(fa.eigs[:, None] + fb.eigs[None, :]).min()
+    if gap <= 1e-12 * max(1.0, np.abs(fa.eigs).max(), np.abs(fb.eigs).max()):
+        raise SolverError("non-unique solution: spectra of op(A) and -op(B) overlap "
+                          f"(min |lambda_i + mu_j| = {gap:.3e})")
+    Y, scale, _ = dtrsyl(
+        fa.T, fb.T, -(fa.Z.T @ (C @ fb.Z)),
+        trana="T" if trans_a else "N", tranb="T" if trans_b else "N",
+    )
+    X = fa.Z @ (Y / scale) @ fb.Z.T
+    lyapunov = fa is fb and trans_a != trans_b
+    if lyapunov:
+        X = 0.5 * (X + X.T)
+    A = fa.A.T if trans_a else fa.A
+    B = fb.A.T if trans_b else fb.A
+    residual = np.linalg.norm(A @ X + X @ B + C, "fro")
+    norm_ab = np.linalg.norm(fa.A, "fro") + (0.0 if lyapunov else np.linalg.norm(fb.A, "fro"))
+    bound = 1e-10 * (norm_ab * np.linalg.norm(X, "fro") + np.linalg.norm(C, "fro"))
+    if residual > bound and residual > 1e-12:
+        raise SolverError(f"residual {residual:.3e} exceeds certified bound {bound:.3e}")
+    return SolveReport(X, float(residual))
 
 
 def psd_sqrt(M, clip: float = 1e-12) -> np.ndarray:
@@ -66,39 +143,14 @@ def psd_sqrt(M, clip: float = 1e-12) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
-def lyap_ct(A, Qrhs, check_definiteness: bool = True) -> SolveReport:
+def lyap_ct(A, Qrhs) -> SolveReport:
     """Solve A^T X + X A + Qrhs = 0 for symmetric X.
 
     Requires that A and -A share no eigenvalue (automatic for stable A);
     otherwise the solution is not unique and a SolverError is raised.
     """
-    A = _square(A, "A")
-    Qrhs = _square(Qrhs, "Qrhs")
-    if A.shape != Qrhs.shape:
-        raise DimensionError("A and Qrhs must have the same shape")
-    if A.size == 0:
-        return SolveReport(np.zeros((0, 0)), 0.0, Definiteness.PSD)
-    eigs = np.linalg.eigvals(A)
-    gap = np.abs(eigs[:, None] + eigs[None, :]).min()
-    scale = max(np.abs(eigs).max(), 1.0)
-    if gap <= 1e-12 * scale:
-        raise SolverError(
-            "non-unique solution: spectra of A and -A overlap "
-            f"(min |lambda_i + lambda_j| = {gap:.3e})"
-        )
-    X = sla.solve_continuous_lyapunov(A.T, -np.asarray(Qrhs, dtype=float))
-    X = 0.5 * (X + X.T)
-    residual = np.linalg.norm(A.T @ X + X @ A + Qrhs, "fro")
-    bound = 1e-10 * (
-        np.linalg.norm(A, "fro") * np.linalg.norm(X, "fro")
-        + np.linalg.norm(Qrhs, "fro")
-    )
-    if residual > max(bound, 1e-300) and residual > 1e-12:
-        raise SolverError(
-            f"Lyapunov residual {residual:.3e} exceeds certified bound {bound:.3e}"
-        )
-    definiteness = _classify(X) if check_definiteness else Definiteness.NOT_CHECKED
-    return SolveReport(X, float(residual), definiteness)
+    form = schur_form(A)
+    return solve(form, form, Qrhs, trans_a=True)
 
 
 def sylvester(A, Bm, Cm) -> np.ndarray:
@@ -106,29 +158,7 @@ def sylvester(A, Bm, Cm) -> np.ndarray:
 
     Requires the spectra of A and -Bm to be disjoint.
     """
-    A = _square(A, "A")
-    Bm = _square(Bm, "Bm")
-    Cm = np.atleast_2d(np.asarray(Cm, dtype=float))
-    if Cm.shape != (A.shape[0], Bm.shape[0]):
-        raise DimensionError(f"Cm must have shape {(A.shape[0], Bm.shape[0])}")
-    if A.size == 0 or Bm.size == 0:
-        return np.zeros(Cm.shape)
-    ea = np.linalg.eigvals(A)
-    eb = np.linalg.eigvals(Bm)
-    gap = np.abs(ea[:, None] + eb[None, :]).min()
-    scale = max(np.abs(ea).max(), np.abs(eb).max(), 1.0)
-    if gap <= 1e-12 * scale:
-        raise SolverError("spectrum overlap: Sylvester equation is singular")
-    X = sla.solve_sylvester(A, Bm, -Cm)
-    residual = np.linalg.norm(A @ X + X @ Bm + Cm, "fro")
-    bound = 1e-10 * (
-        (np.linalg.norm(A, "fro") + np.linalg.norm(Bm, "fro"))
-        * np.linalg.norm(X, "fro")
-        + np.linalg.norm(Cm, "fro")
-    )
-    if residual > max(bound, 1e-300) and residual > 1e-12:
-        raise SolverError(f"Sylvester residual {residual:.3e} not certified")
-    return X
+    return solve(schur_form(A), schur_form(Bm), Cm).solution
 
 
 def _care_residual(A, B, Qw, Rinv_Bt, P):
@@ -171,18 +201,15 @@ def care(A, B, Qw, Rw, max_newton: int = 50) -> SolveReport:
         if res <= 1e-10 * scale(P):
             break
         K = Rinv_Bt @ P
-        Acl = A - B @ K
-        if np.max(np.linalg.eigvals(Acl).real) >= 0:
+        form = schur_form(A - B @ K)
+        if not form.is_stable(0.0):
             raise SolverError("Newton-Kleinman lost closed-loop stability")
-        rhs = Qw + K.T @ Rw @ K
-        P = sla.solve_continuous_lyapunov(Acl.T, -rhs)
-        P = 0.5 * (P + P.T)
+        P = solve(form, form, Qw + K.T @ Rw @ K, trans_a=True).solution
         res = np.linalg.norm(_care_residual(A, B, Qw, Rinv_Bt, P), "fro")
     if res > 1e-8 * scale(P):
         raise SolverError(f"Riccati residual {res:.3e} not certified")
-    Acl = A - B @ (Rinv_Bt @ P)
-    if np.max(np.linalg.eigvals(Acl).real) >= 0:
+    if not is_stable(A - B @ (Rinv_Bt @ P), 0.0):
         raise SolverError(
             "Riccati solution is not stabilizing; check stabilizability/detectability"
         )
-    return SolveReport(P, float(res), _classify(P))
+    return SolveReport(P, float(res))

@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import solvers
 from .errors import AxisPoleError, DimensionError, UnstableError
-
-# Stability margin: eigenvalues must satisfy Re(lambda) < -EPS_STAB.
-EPS_STAB = 1e-9
+from .solvers import EPS_STAB
 # Minimum distance of eigenvalues from the imaginary axis for the
 # stable/anti-stable split to be well posed.
 EPS_SPLIT = 1e-8
@@ -85,9 +83,7 @@ class StateSpace:
         return np.linalg.eigvals(self.A) if self.n_states else np.zeros(0, complex)
 
     def is_stable(self, eps: float = EPS_STAB) -> bool:
-        if self.n_states == 0:
-            return True
-        return bool(np.max(self.poles().real) < -eps)
+        return solvers.is_stable(self.A, eps)
 
     def is_strictly_proper(self) -> bool:
         return not np.any(self.D)
@@ -189,23 +185,6 @@ def freq_response(g: StateSpace, omega: float) -> np.ndarray:
     return g.C @ X + g.D
 
 
-def _ordered_stable_split(A, eps_split):
-    """Orthogonal similarity pushing stable eigenvalues to the leading block.
-
-    Returns (T, Z, k) with T = Z^T A Z quasi-triangular and the first k
-    states spanning the stable invariant subspace.  Raises AxisPoleError if
-    any eigenvalue is within eps_split of the imaginary axis.
-    """
-    eigs = np.linalg.eigvals(A)
-    if np.any(np.abs(eigs.real) <= eps_split):
-        worst = eigs[np.argmin(np.abs(eigs.real))]
-        raise AxisPoleError(
-            f"eigenvalue {worst} within {eps_split} of the imaginary axis"
-        )
-    T, Z, k = sla.schur(A, output="real", sort=lambda re, im: re < 0.0)
-    return T, Z, k
-
-
 def stable_antistable_split(
     g: StateSpace, eps_split: float = EPS_SPLIT
 ) -> tuple[StateSpace, StateSpace]:
@@ -217,27 +196,22 @@ def stable_antistable_split(
     n = g.n_states
     if n == 0:
         return g, zero_system(g.n_outputs, g.n_inputs)
-    T, Z, k = _ordered_stable_split(g.A, eps_split)
+    # T = Z^T A Z with the first k states spanning the stable subspace.
+    form, k = solvers.stable_first_form(g.A)
+    worst = form.eigs[np.argmin(np.abs(form.eigs.real))]
+    if abs(worst.real) <= eps_split:
+        raise AxisPoleError(f"eigenvalue {worst} within {eps_split} of the imaginary axis")
+    T, Z = form.T, form.Z
     Bz = Z.T @ g.B
     Cz = g.C @ Z
-    if k == n:
-        return StateSpace(T, Bz, Cz, g.D), zero_system(g.n_outputs, g.n_inputs)
-    if k == 0:
-        return (
-            static_gain(g.D) if np.any(g.D) else zero_system(g.n_outputs, g.n_inputs),
-            StateSpace(T, Bz, Cz, np.zeros_like(g.D)),
-        )
-    A11, A12, A22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    # Decouple with X solving A11 X - X A22 + A12 = 0, i.e. the similarity
-    # [[I, X], [0, I]] block-diagonalizes the quasi-triangular form.
-    X = sla.solve_sylvester(A11, -A22, -A12)
+    X = solvers.decoupling(form, k)
     # In the decoupled coordinates: B <- S^-1 Bz, C <- Cz S with S = [[I,X],[0,I]].
     B1 = Bz[:k] - X @ Bz[k:]
     B2 = Bz[k:]
     C1 = Cz[:, :k]
     C2 = Cz[:, :k] @ X + Cz[:, k:]
-    stable = StateSpace(A11, B1, C1, g.D)
-    anti = StateSpace(A22, B2, C2, np.zeros_like(g.D))
+    stable = StateSpace(T[:k, :k], B1, C1, g.D)
+    anti = StateSpace(T[k:, k:], B2, C2, np.zeros_like(g.D))
     return stable, anti
 
 
@@ -259,35 +233,37 @@ def stable_residue_sum(g: StateSpace, eps_split: float = EPS_SPLIT) -> np.ndarra
     return stable.C @ stable.B
 
 
-def _require_stable_strictly_proper(g, what):
-    if not g.is_strictly_proper():
-        raise ValueError(f"{what} requires a strictly proper system")
-    if not g.is_stable():
-        raise UnstableError(f"{what} requires a stable system")
+def _ctrb(g, form):
+    return solvers.solve(form, form, g.B @ g.B.T, trans_b=True).solution
+
+
+def _obsv(g, form):
+    return solvers.solve(form, form, g.C.T @ g.C, trans_a=True).solution
 
 
 def gramian_ctrb(g: StateSpace) -> np.ndarray:
     """Controllability Gramian P of a stable system: A P + P A^T + B B^T = 0."""
-    if g.n_states == 0:
-        return np.zeros((0, 0))
-    P = sla.solve_continuous_lyapunov(g.A, -g.B @ g.B.T)
-    return 0.5 * (P + P.T)
+    return _ctrb(g, solvers.schur_form(g.A))
 
 
 def gramian_obsv(g: StateSpace) -> np.ndarray:
     """Observability Gramian X of a stable system: A^T X + X A + C^T C = 0."""
-    if g.n_states == 0:
-        return np.zeros((0, 0))
-    X = sla.solve_continuous_lyapunov(g.A.T, -g.C.T @ g.C)
-    return 0.5 * (X + X.T)
+    return _obsv(g, solvers.schur_form(g.A))
+
+
+def _h2_form(g, what):
+    """Schur form of A for a stable strictly proper system."""
+    if not g.is_strictly_proper():
+        raise ValueError(f"{what} requires a strictly proper system")
+    form = solvers.schur_form(g.A)
+    if not form.is_stable():
+        raise UnstableError(f"{what} requires a stable system")
+    return form
 
 
 def h2_norm_sq(g: StateSpace) -> float:
     """Squared H2 norm tr(B^T X B) with X the observability Gramian."""
-    _require_stable_strictly_proper(g, "h2_norm_sq")
-    if g.n_states == 0:
-        return 0.0
-    X = gramian_obsv(g)
+    X = _obsv(g, _h2_form(g, "h2_norm_sq"))
     return float(max(np.trace(g.B.T @ X @ g.B), 0.0))
 
 
@@ -300,11 +276,8 @@ def h2_inner(g: StateSpace, h: StateSpace) -> float:
     """
     if (g.n_inputs, g.n_outputs) != (h.n_inputs, h.n_outputs):
         raise DimensionError("h2_inner requires matching dimensions")
-    _require_stable_strictly_proper(g, "h2_inner")
-    _require_stable_strictly_proper(h, "h2_inner")
-    if g.n_states == 0 or h.n_states == 0:
-        return 0.0
-    Y = sla.solve_sylvester(g.A.T, h.A, -g.C.T @ h.C)
+    fg, fh = _h2_form(g, "h2_inner"), _h2_form(h, "h2_inner")
+    Y = solvers.solve(fg, fh, g.C.T @ h.C, trans_a=True).solution
     return float(np.trace(g.B.T @ Y @ h.B))
 
 
@@ -313,13 +286,12 @@ def _mirror(g: StateSpace) -> StateSpace:
     return StateSpace(-g.A, g.B, -g.C, g.D)
 
 
-def _balanced_truncation_stable(g: StateSpace, tol: float) -> StateSpace:
+def _balanced_truncation_stable(g: StateSpace, tol: float, form=None) -> StateSpace:
     """Square-root balanced truncation of a stable system."""
-    n = g.n_states
-    if n == 0:
+    if g.n_states == 0:
         return g
-    P = gramian_ctrb(g)
-    Q = gramian_obsv(g)
+    form = form or solvers.schur_form(g.A)
+    P, Q = _ctrb(g, form), _obsv(g, form)
 
     def factor(M):
         w, V = np.linalg.eigh(M)
@@ -356,10 +328,10 @@ def minreal(g: StateSpace, tol: float = MINREAL_TOL) -> StateSpace:
     """
     if g.n_states == 0:
         return g
-    eigs = np.linalg.eigvals(g.A)
-    if np.all(eigs.real < -EPS_SPLIT):
-        return _balanced_truncation_stable(g, tol)
-    if np.all(eigs.real > EPS_SPLIT):
+    form = solvers.schur_form(g.A)
+    if form.is_stable(EPS_SPLIT):
+        return _balanced_truncation_stable(g, tol, form)
+    if np.all(form.eigs.real > EPS_SPLIT):
         return _mirror(_balanced_truncation_stable(_mirror(g), tol))
     stable, anti = stable_antistable_split(g)
     red_s = _balanced_truncation_stable(stable, tol)

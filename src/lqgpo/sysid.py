@@ -34,7 +34,7 @@ class FreqSample:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError("omega must be positive")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
@@ -42,7 +42,11 @@ class FreqSample:
 
 
 def default_grid(n_points: int = 200, lo: float = 0.1, hi: float = 100.0, spacing: str = "log") -> np.ndarray:
+    if n_points < 1 or not hi > lo:
+        raise ValueError(f"grid needs n_points >= 1 and hi > lo, got {n_points}, {lo}, {hi}")
     if spacing == "log":
+        if not lo > 0:
+            raise ValueError(f"log-spaced grid needs lo > 0, got {lo}")
         return np.logspace(np.log10(lo), np.log10(hi), n_points)
     if spacing == "linear":
         return np.linspace(lo, hi, n_points)

@@ -16,7 +16,7 @@ from lqgpo.ss import StateSpace
 MASTER_SEED = 20250810
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def rng():
     return np.random.default_rng(MASTER_SEED)
 

@@ -279,8 +279,8 @@ def test_criterion_06_lqr_landscape():
         # residue identity: gradient equals twice the stable residue sum of
         # the stationarity transfer function
         Acl = prob.closed_loop(K)
-        P = lyap_ct(Acl, prob.Q + K.T @ prob.R @ K, check_definiteness=False).solution
-        Sigma = lyap_ct(Acl.T, np.eye(n), check_definiteness=False).solution
+        P = lyap_ct(Acl, prob.Q + K.T @ prob.R @ K).solution
+        Sigma = lyap_ct(Acl.T, np.eye(n)).solution
         gapmat = prob.R @ K - prob.B.T @ P
         residue = 2.0 * stable_residue_sum(
             StateSpace(Acl, Sigma, gapmat, np.zeros((gapmat.shape[0], n)))

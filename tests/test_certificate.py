@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_plant
+from lqgpo import certificate
 from lqgpo.certificate import (
     CertificateMatrices,
     Verdict,
@@ -25,6 +26,20 @@ from lqgpo.lqg import (
     lqr_optimal,
 )
 from lqgpo.ss import StateSpace, freq_response
+
+
+class TestCertify:
+    def test_markov_sequence_computed_once(self, monkeypatch, plant1, ctrl_opt):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return markov_test(*args)
+
+        monkeypatch.setattr(certificate, "markov_test", counted)
+        report = certify(plant1, ctrl_opt)
+        assert len(calls) == 1
+        assert report.markov_norms_normalized == normalized_markov(*calls[0])
 
 
 class TestCertificateMatrices:

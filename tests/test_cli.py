@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lqgpo import cli
 from lqgpo.benchmarks import example1_plant, example2_controller, stationary_controller
 from lqgpo.cli import main
 
@@ -159,6 +160,36 @@ class TestPg:
         header, rows = read_csv(out)
         assert header == ["iter", "cost", "rel_error"]
         assert len(rows) == 6
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["optimize", "--iters", "-1"],
+        ["pg", "--iters", "-3"],
+        ["identify", "--grid-n", "0"],
+        ["identify", "--grid-lo", "-1"],
+        ["identify", "--grid-lo", "10", "--grid-hi", "1"],
+    ])
+    def test_out_of_range_input_exits_2(self, runner, io_dir, args):
+        out = io_dir / "out.csv"
+        result = runner.invoke(
+            main, [args[0], "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl_ex2.json"),
+                   "--out", str(out), *args[1:]],
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
+
+    def test_linalg_error_exits_3(self, runner, io_dir, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "certify", fail)
+        result = runner.invoke(
+            main, ["certify", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl.json")],
+        )
+        assert result.exit_code == 3
 
 
 class TestEstimationCommands:

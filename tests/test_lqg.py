@@ -222,8 +222,8 @@ class TestLqr:
         K = np.array([[0.3]])
         cost, grad = lqr_cost_grad(prob, K)
         Acl = prob.closed_loop(K)
-        P = lyap_ct(Acl, prob.Q + K.T @ prob.R @ K, check_definiteness=False).solution
-        Sigma = lyap_ct(Acl.T, np.eye(1), check_definiteness=False).solution
+        P = lyap_ct(Acl, prob.Q + K.T @ prob.R @ K).solution
+        Sigma = lyap_ct(Acl.T, np.eye(1)).solution
         gap = prob.R @ K - prob.B.T @ P
         tf = StateSpace(Acl, Sigma, gap, np.zeros((1, 1)))
         assert np.allclose(grad, 2.0 * stable_residue_sum(tf), atol=1e-10)

@@ -1,18 +1,34 @@
-"""Matrix-equation solvers: certified residuals, definiteness, failure modes."""
+"""Matrix-equation solvers: certified residuals, failure modes, and the one
+solver layer every caller goes through."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_spd
+from lqgpo import solvers
 from lqgpo.errors import DimensionError, SolverError
-from lqgpo.solvers import Definiteness, care, lyap_ct, psd_sqrt, sylvester
+from lqgpo.lqg import LqrProblem, close_loop, lqr_optimal, lqr_terms, performance_realization
+from lqgpo.solvers import care, lyap_ct, psd_sqrt, sylvester
+from lqgpo.ss import (
+    StateSpace,
+    gramian_ctrb,
+    h2_inner,
+    h2_norm_sq,
+    minreal,
+    stable_antistable_split,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lqgpo"
 
 
 class TestLyap:
     def test_scalar(self):
         rep = lyap_ct(np.array([[-1.0]]), np.array([[2.0]]))
         assert rep.solution[0, 0] == pytest.approx(1.0)
-        assert rep.definiteness is Definiteness.PD
 
     def test_identity(self):
         rep = lyap_ct(-np.eye(2), np.eye(2))
@@ -45,6 +61,10 @@ class TestLyap:
         with pytest.raises(SolverError, match="non-unique"):
             lyap_ct(A, np.eye(2))
 
+    def test_near_spectrum_conflict(self):
+        with pytest.raises(SolverError, match="non-unique"):
+            lyap_ct(np.diag([1.0, -1.0 + 1e-14]), np.eye(2))
+
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             lyap_ct(-np.eye(2), np.eye(3))
@@ -72,12 +92,15 @@ class TestSylvester:
         with pytest.raises(SolverError):
             sylvester(np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]))
 
+    def test_near_spectrum_overlap(self):
+        with pytest.raises(SolverError, match="non-unique"):
+            sylvester(np.array([[1.0]]), np.array([[-1.0 + 1e-14]]), np.array([[1.0]]))
+
 
 class TestCare:
     def test_scalar_closed_form(self):
         rep = care(np.array([[-1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1))
         assert rep.solution[0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-10)
-        assert rep.definiteness in (Definiteness.PD, Definiteness.PSD)
 
     def test_zero_state_cost(self):
         rep = care(-np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
@@ -117,3 +140,86 @@ def test_psd_sqrt():
     W = np.diag([1.0, -1e-15])
     S2 = psd_sqrt(W)
     assert S2[1, 1] == 0.0
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """Counts of scipy.linalg.schur and numpy.linalg.eigvals calls."""
+    counts = {}
+    for host, name in ((scipy.linalg, "schur"), (np.linalg, "eigvals")):
+        def counted(*args, _orig=getattr(host, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(host, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("call", ["close_loop", "lqr_terms", "h2_norm_sq", "minreal"])
+def test_one_schur_form_per_matrix(call, plant1, ctrl_opt, factorizations):
+    # close_loop and lqr_terms take the stability check, P and Sigma from one
+    # form of the loop matrix; h2_norm_sq its check and Gramian; balanced
+    # truncation of a stable system both Gramians.
+    prob = LqrProblem(plant1.A, plant1.B, plant1.Q, plant1.R)
+    K, _ = lqr_optimal(prob)
+    g = performance_realization(close_loop(plant1, ctrl_opt))
+    run = {
+        "close_loop": lambda: close_loop(plant1, ctrl_opt),
+        "lqr_terms": lambda: lqr_terms(prob, K),
+        "h2_norm_sq": lambda: h2_norm_sq(g),
+        "minreal": lambda: minreal(g),
+    }[call]
+    factorizations.clear()
+    run()
+    assert factorizations == {"schur": 1}
+
+
+@pytest.fixture()
+def perturbed_trsyl(monkeypatch):
+    """The layer's triangular solve, returning a solution off by 1e-6 relative."""
+    exact = solvers.dtrsyl
+
+    def perturbed(*args, **kwargs):
+        Y, scale, info = exact(*args, **kwargs)
+        return Y * (1.0 + 1e-6), scale, info
+
+    monkeypatch.setattr(solvers, "dtrsyl", perturbed)
+
+
+STABLE = StateSpace([[-1.0, 1.0], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+MIXED = StateSpace([[-1.0, 1.0], [0.0, 2.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: h2_norm_sq(STABLE),
+    lambda: h2_inner(STABLE, STABLE),
+    lambda: gramian_ctrb(STABLE),
+    lambda: stable_antistable_split(MIXED),
+], ids=["h2_norm_sq", "h2_inner", "gramian_ctrb", "stable_antistable_split"])
+def test_residual_check_reaches_ss(call, perturbed_trsyl):
+    with pytest.raises(SolverError, match="residual"):
+        call()
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_solvers_names_matrix_equation_solvers():
+    """A second Lyapunov/Sylvester path must not creep back outside solvers."""
+    offenders = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "solvers.py"
+        for name in _names(ast.parse(path.read_text()))
+        if name in ("solve_continuous_lyapunov", "solve_sylvester") or name.endswith("trsyl")
+    ]
+    assert offenders == []

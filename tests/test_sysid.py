@@ -100,6 +100,19 @@ class TestSineResponse:
             sine_response(lag_half(), 10.0, step=0.1)
 
 
+class TestGridAndSamples:
+    @pytest.mark.parametrize("args", [(0, 0.1, 100.0, "log"), (10, -1.0, 100.0, "log"),
+                                      (10, 10.0, 1.0, "linear")])
+    def test_default_grid_rejects(self, args):
+        with pytest.raises(ValueError):
+            default_grid(*args)
+
+    @pytest.mark.parametrize("omega", [0.0, float("nan")])
+    def test_freq_sample_rejects_non_positive_omega(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            FreqSample(omega, np.array([[1.0 + 0.0j]]))
+
+
 class TestFitRational:
     def test_exact_first_order(self):
         grid = np.linspace(0.1, 100, 200)
