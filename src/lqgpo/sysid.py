@@ -15,8 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import matrix_power
 
 from .errors import IdentifiabilityError
+from .solvers import schur_form
 from .ss import RationalScalar, StateSpace, freq_response, h2_inner, parallel, scaled
 from .youla import NominalLft, YoulaIterate, lifted_cost
 
@@ -58,23 +60,23 @@ def measure_response_direct(g: StateSpace, grid) -> list[FreqSample]:
     return [FreqSample(float(w), freq_response(g, float(w))) for w in grid]
 
 
-def _rk4_step_ops(A, b, h):
-    """Propagation matrix and input weights of one fixed-step RK4 update."""
-    n = A.shape[0]
+def _rk4_step_ops(A, B, h):
+    """Propagation matrix and input weights of one fixed-step RK4 update,
+    x+ = M0 x + W1 u(t) + W2 u(t + h/2) + W3 u(t + h), with one column of
+    each W per input channel."""
+    n, m = B.shape
 
     def update(x, u1, u2, u3):
-        k1 = A @ x + b * u1
-        k2 = A @ (x + 0.5 * h * k1) + b * u2
-        k3 = A @ (x + 0.5 * h * k2) + b * u2
-        k4 = A @ (x + h * k3) + b * u3
+        k1 = A @ x + B @ u1
+        k2 = A @ (x + 0.5 * h * k1) + B @ u2
+        k3 = A @ (x + 0.5 * h * k2) + B @ u2
+        k4 = A @ (x + h * k3) + B @ u3
         return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    M0 = np.column_stack([update(e, 0.0, 0.0, 0.0) for e in np.eye(n)]) if n else np.zeros((0, 0))
-    z = np.zeros(n)
-    w1 = update(z, 1.0, 0.0, 0.0)
-    w2 = update(z, 0.0, 1.0, 0.0)
-    w3 = update(z, 0.0, 0.0, 1.0)
-    return M0, w1, w2, w3
+    rest = np.zeros((m, n))
+    M0 = update(np.eye(n), rest, rest, rest)
+    I, O, x0 = np.eye(m), np.zeros((m, m)), np.zeros((n, m))
+    return M0, update(x0, I, O, O), update(x0, O, I, O), update(x0, O, O, I)
 
 
 def sine_response(
@@ -85,42 +87,65 @@ def sine_response(
     sample_cycles: int = 10,
     step: float | None = None,
 ) -> np.ndarray:
-    """Estimate G(j omega) by simulating sinusoidal excitation channel by channel.
+    """Estimate G(j omega) from sinusoidal excitation of every input channel.
 
-    Each input channel is driven with c_omega * sin(omega t) through a
-    fixed-step classical RK4 integrator; after settle_cycles periods the
-    outputs are least-squares fit to alpha sin + beta cos over
-    sample_cycles periods, giving the response (alpha + j beta) / c_omega.
+    Each input channel is driven from rest with c_omega * sin(omega t)
+    through a fixed-step classical RK4 integrator (step h = min(0.01,
+    0.05 / omega) unless given); after settle_cycles periods the outputs
+    are least-squares fit to alpha sin + beta cos over sample_cycles
+    periods, giving the response (alpha + j beta) / c_omega.
+
+    The recursion is not stepped: with z = e^{j omega h} its update is
+    x_{k+1} = M0 x_k + c Im(z^k F), F = W1 + e^{j omega h/2} W2 + z W3, so
+    its samples are x_k = c (Im(z^k X) - M0^k Im X) with the periodic
+    steady state X = (zI - M0)^-1 F, all channels in one solve.  The
+    steady state fits exactly, to C X + D.  The fit of the M0^k transient
+    over the window of N samples from step a takes the window sum
+    S = sum_k (z M0)^k = (z M0)^a (I - z M0)^-1 (I - (z M0)^N) and the Gram
+    matrix of the sin/cos design from the geometric sum of z^{2k}.  The
+    result equals the stepped simulation's to rounding, at a cost
+    independent of the number of steps.
+
+    Raises ValueError for NaN or non-positive omega, c_omega or step,
+    settle_cycles < 0 or sample_cycles < 1, an unstable system, a step with
+    omega h > 0.2, and a step outside RK4's stability region (spectral
+    radius of M0 at least 1), where the recursion has no steady state.
     """
-    if not g.is_stable():
-        raise ValueError("sine excitation requires a stable system")
-    if omega <= 0 or c_omega <= 0:
+    if not (omega > 0 and c_omega > 0):
         raise ValueError("omega and c_omega must be positive")
     h = min(0.01, 0.05 / omega) if step is None else float(step)
+    if not h > 0:
+        raise ValueError(f"step must be positive, got {h}")
+    if not (settle_cycles >= 0 and sample_cycles >= 1):
+        raise ValueError("need settle_cycles >= 0 and sample_cycles >= 1, "
+                         f"got {settle_cycles}, {sample_cycles}")
+    if not g.is_stable():
+        raise ValueError("sine excitation requires a stable system")
     if omega * h > 0.2:
         raise ValueError(f"step {h} too coarse for omega {omega} (omega*h > 0.2)")
+    if g.n_states == 0:
+        return g.D.astype(complex)
+    M0, W1, W2, W3 = _rk4_step_ops(g.A, g.B, h)
+    radius = np.abs(schur_form(M0).eigs).max()
+    if radius >= 1.0:
+        raise ValueError(f"step {h} is outside the RK4 stability region "
+                         f"(spectral radius {radius:.6g} of the update)")
     period = 2.0 * math.pi / omega
     n_settle = int(np.ceil(settle_cycles * period / h))
-    n_sample = int(np.ceil(sample_cycles * period / h))
-    n_total = n_settle + n_sample
-    t = np.arange(n_total + 1) * h
-    u_full = c_omega * np.sin(omega * t)
-    u_mid = c_omega * np.sin(omega * (t + 0.5 * h))
-    t_s = t[n_settle:]
-    design = np.column_stack([np.sin(omega * t_s), np.cos(omega * t_s)])
-    out = np.zeros((g.n_outputs, g.n_inputs), dtype=complex)
-    for j in range(g.n_inputs):
-        M0, w1, w2, w3 = _rk4_step_ops(g.A, g.B[:, j], h)
-        x = np.zeros(g.n_states)
-        ys = np.empty((n_sample + 1, g.n_outputs))
-        for k in range(n_total + 1):
-            if k >= n_settle:
-                ys[k - n_settle] = g.C @ x + g.D[:, j] * u_full[k]
-            if k < n_total:
-                x = M0 @ x + w1 * u_full[k] + w2 * u_mid[k] + w3 * u_full[k + 1]
-        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        out[:, j] = (coef[0] + 1j * coef[1]) / c_omega
-    return out
+    n_window = int(np.ceil(sample_cycles * period / h)) + 1
+    theta = omega * h
+    z = np.exp(1j * theta)
+    eye = np.eye(g.n_states)
+    X = np.linalg.solve(z * eye - M0, W1 + np.exp(0.5j * theta) * W2 + z * W3)
+    P, v = z * M0, X.imag
+    Sv = matrix_power(P, n_settle) @ np.linalg.solve(eye - P, v - matrix_power(P, n_window) @ v)
+    # sum over the window of z^{2k}, a Dirichlet kernel
+    E = (np.exp(1j * theta * (2 * n_settle + n_window - 1))
+         * math.sin(n_window * theta) / math.sin(theta))
+    gram = 0.5 * np.array([[n_window - E.real, E.imag], [E.imag, n_window + E.real]])
+    transient = np.linalg.solve(gram, np.stack([g.C @ Sv.imag, g.C @ Sv.real]).reshape(2, -1))
+    transient = transient.reshape(2, g.n_outputs, g.n_inputs)
+    return g.C @ X + g.D - (transient[0] + 1j * transient[1])
 
 
 def fit_rational(samples: list[FreqSample], num_deg: int, den_deg: int) -> RationalScalar:

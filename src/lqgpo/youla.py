@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,9 @@ class NominalLft:
     M22: StateSpace
     G0: StateSpace
     base_cost: float
+    # reduced weights (M12~ M12, M21 M21~) by truncation tolerance, built on
+    # the first `sensitivity` call that needs them
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def q_rows(self) -> int:
@@ -207,11 +210,16 @@ def sensitivity(
 
     S = stable part of  G0 + M12~ M12 (Q_dyn + Q_stat) M21 M21~, reduced by
     balanced truncation.  The para-conjugate products are formed pairwise
-    with intermediate truncation to cap the state dimension.
+    with intermediate truncation to cap the state dimension; the two
+    iterate-independent products are reduced once per nominal and tolerance.
     """
     it.validate(nom)
-    left = minreal(series(para_conjugate(nom.M12), nom.M12), trunc_tol)
-    right = minreal(series(nom.M21, para_conjugate(nom.M21)), trunc_tol)
+    if trunc_tol not in nom._weights:
+        nom._weights[trunc_tol] = (
+            minreal(series(para_conjugate(nom.M12), nom.M12), trunc_tol),
+            minreal(series(nom.M21, para_conjugate(nom.M21)), trunc_tol),
+        )
+    left, right = nom._weights[trunc_tol]
     mid = series(left, series(it.combined(), right))
     total = parallel(nom.G0, mid, 1)
     S = stable_projection(total)

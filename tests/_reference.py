@@ -1,9 +1,13 @@
-"""Frozen reference values for the built-in benchmark systems.
+"""Frozen reference values for the built-in benchmark systems, and the
+step-by-step RK4 simulation that `sysid.sine_response` replaced by its
+closed form.
 
 The optimal-controller matrices are two-decimal reference values; note the
 sign of the second output-gain entry is -0.22, the only sign consistent
 with A_K* = A - B K - L C at the same displayed precision.
 """
+
+import math
 
 import numpy as np
 
@@ -33,3 +37,53 @@ S0_11_AT_0 = -1.671 / 0.4167
 S0_13_AT_0 = -2.081 / 0.4167
 S0_31_AT_0 = 2.081 / 0.4167
 S0_33_AT_0 = 2.683 / 0.4167
+
+
+def _rk4_step_ops_vector(A, b, h):
+    """Propagation matrix and input weights of one fixed-step RK4 update
+    for a single input column b."""
+    n = A.shape[0]
+
+    def update(x, u1, u2, u3):
+        k1 = A @ x + b * u1
+        k2 = A @ (x + 0.5 * h * k1) + b * u2
+        k3 = A @ (x + 0.5 * h * k2) + b * u2
+        k4 = A @ (x + h * k3) + b * u3
+        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    M0 = np.column_stack([update(e, 0.0, 0.0, 0.0) for e in np.eye(n)]) if n else np.zeros((0, 0))
+    z = np.zeros(n)
+    w1 = update(z, 1.0, 0.0, 0.0)
+    w2 = update(z, 0.0, 1.0, 0.0)
+    w3 = update(z, 0.0, 0.0, 1.0)
+    return M0, w1, w2, w3
+
+
+def sine_response_loop(g, omega, c_omega=1.0, settle_cycles=20, sample_cycles=10, step=None):
+    """Sine-excitation estimate of G(j omega) by stepping the RK4 recursion
+    one sample at a time, one pass per input channel, then least-squares
+    fitting alpha sin + beta cos over the sample window (the step rule and
+    window of `sysid.sine_response`)."""
+    h = min(0.01, 0.05 / omega) if step is None else float(step)
+    period = 2.0 * math.pi / omega
+    n_settle = int(np.ceil(settle_cycles * period / h))
+    n_sample = int(np.ceil(sample_cycles * period / h))
+    n_total = n_settle + n_sample
+    t = np.arange(n_total + 1) * h
+    u_full = c_omega * np.sin(omega * t)
+    u_mid = c_omega * np.sin(omega * (t + 0.5 * h))
+    t_s = t[n_settle:]
+    design = np.column_stack([np.sin(omega * t_s), np.cos(omega * t_s)])
+    out = np.zeros((g.n_outputs, g.n_inputs), dtype=complex)
+    for j in range(g.n_inputs):
+        M0, w1, w2, w3 = _rk4_step_ops_vector(g.A, g.B[:, j], h)
+        x = np.zeros(g.n_states)
+        ys = np.empty((n_sample + 1, g.n_outputs))
+        for k in range(n_total + 1):
+            if k >= n_settle:
+                ys[k - n_settle] = g.C @ x + g.D[:, j] * u_full[k]
+            if k < n_total:
+                x = M0 @ x + w1 * u_full[k] + w2 * u_mid[k] + w3 * u_full[k + 1]
+        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        out[:, j] = (coef[0] + 1j * coef[1]) / c_omega
+    return out

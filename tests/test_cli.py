@@ -211,6 +211,36 @@ class TestEstimationCommands:
         assert "entries" in payload and "metadata" in payload
         assert payload["entries"][1][1]["den"] == pytest.approx([0.5, 1.0], abs=1e-9)
 
+    @staticmethod
+    def identify_entries(runner, io_dir, mode):
+        out = io_dir / f"fits_{mode}.json"
+        result = runner.invoke(
+            main, ["identify", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl_ex2.json"),
+                   "--mode", mode, "--auto-degrees", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        return json.loads(out.read_text())["entries"]
+
+    def test_identify_sine_on_default_grid(self, runner, io_dir):
+        direct = self.identify_entries(runner, io_dir, "direct")
+        sine = self.identify_entries(runner, io_dir, "sine")
+        assert [[fit is None for fit in row] for row in sine] == \
+            [[fit is None for fit in row] for row in direct]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "sine_response settles for 20 periods, 1.3 s at omega = 100, so the "
+        "pole at -0.5 leaves a transient in the fit window; with "
+        "settle_cycles=2000 the fits agree to 3e-8"))
+    def test_identify_sine_matches_direct(self, runner, io_dir):
+        direct = self.identify_entries(runner, io_dir, "direct")
+        sine = self.identify_entries(runner, io_dir, "sine")
+        for row_d, row_s in zip(direct, sine):
+            for fit_d, fit_s in zip(row_d, row_s):
+                if fit_d is not None:
+                    for key in ("num", "den"):
+                        assert np.abs(np.subtract(fit_s[key], fit_d[key])).max() <= 1e-3
+
     def test_estimate_s(self, runner, io_dir):
         out = io_dir / "shat.json"
         result = runner.invoke(

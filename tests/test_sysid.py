@@ -4,6 +4,7 @@ expansions, zeroth-order residue estimation."""
 import numpy as np
 import pytest
 
+from _reference import M22_ZERO_ENTRIES, sine_response_loop
 from lqgpo.errors import IdentifiabilityError
 from lqgpo.ss import (
     RationalScalar,
@@ -98,6 +99,57 @@ class TestSineResponse:
     def test_rejects_coarse_step(self):
         with pytest.raises(ValueError, match="too coarse"):
             sine_response(lag_half(), 10.0, step=0.1)
+
+    @pytest.mark.parametrize("omega", [0.1, 0.3, 1.0, 10.0])
+    def test_matches_stepped_recursion_on_m22(self, nom_ex2, omega):
+        est = sine_response(nom_ex2.M22, omega)
+        ref = sine_response_loop(nom_ex2.M22, omega)
+        assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
+        for i, j in M22_ZERO_ENTRIES:
+            assert est[i, j] == 0.0
+
+    @pytest.mark.parametrize("case", ["laguerre", "feedthrough", "no-settle", "step", "static"])
+    def test_matches_stepped_recursion(self, case):
+        g, omega, kwargs = {
+            # a chain of equal poles: M0 is defective
+            "laguerre": (LaguerreBasis(1.0, 5).chain(), 0.5, {}),
+            "feedthrough": (StateSpace([[-1.0, 2.0], [0.0, -3.0]], [[1.0, 0.0], [1.0, 1.0]],
+                                       [[1.0, 0.5]], [[0.7, -0.2]]), 2.0, {}),
+            # the transient dominates the fit
+            "no-settle": (StateSpace([[-0.05, 1.0], [0.0, -0.1]], [[1.0], [0.3]],
+                                     [[1.0, 0.0], [0.2, 1.0]], [[0.0], [0.0]]), 0.7,
+                          {"settle_cycles": 0, "sample_cycles": 1}),
+            "step": (lag_half(), 2.0, {"step": 0.003, "c_omega": 2.5}),
+            "static": (StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)),
+                                  [[0.3, -1.2]]), 1.0, {}),
+        }[case]
+        est = sine_response(g, omega, **kwargs)
+        ref = sine_response_loop(g, omega, **kwargs)
+        assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_low_frequency_default_cycles(self, nom_ex2):
+        # 1.9 million RK4 steps per channel if the recursion were stepped
+        est = sine_response(nom_ex2.M22, 0.01)
+        truth = freq_response(nom_ex2.M22, 0.01)
+        assert np.abs(est - truth).max() <= 1e-9 * np.abs(truth).max()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"omega": float("nan")},
+        {"c_omega": float("nan")},
+        {"step": float("nan")},
+        {"step": 0.0},
+        {"step": -0.01},
+        {"settle_cycles": -1},
+        {"sample_cycles": 0},
+    ])
+    def test_rejects_invalid_input(self, kwargs):
+        with pytest.raises(ValueError):
+            sine_response(lag_half(), **{"omega": 1.0, **kwargs})
+
+    def test_rejects_step_outside_rk4_stability_region(self):
+        stiff = StateSpace([[-1000.0]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="stability region"):
+            sine_response(stiff, 1.0)
 
 
 class TestGridAndSamples:

@@ -250,6 +250,32 @@ class TestDescentRun:
         run_lifted_gradient_descent(nom_stationary, eta=eta, iters=1)
         assert len(calls) == 1
 
+    def test_weight_products_reduced_once_per_nominal(self, plant1, ctrl_stationary, monkeypatch):
+        import lqgpo.youla as youla
+
+        reduced = []
+
+        def counting(g, *args, **kwargs):
+            reduced.append(g.n_states)
+            return minreal(g, *args, **kwargs)
+
+        monkeypatch.setattr(youla, "minreal", counting)
+        nom = build_nominal(plant1, ctrl_stationary)
+        assert reduced == []
+        iters = 5
+        # per iteration: S_k's truncation, and Q_dyn's except after the last
+        # gradient; the two weight products once, on the first sensitivity
+        first, _ = run_lifted_gradient_descent(nom, eta=0.1, iters=iters)
+        assert len(reduced) == 2 * iters + 1 + 2
+        reduced.clear()
+        again, _ = run_lifted_gradient_descent(nom, eta=0.1, iters=iters)
+        assert len(reduced) == 2 * iters + 1
+        assert [r.cost for r in again] == [r.cost for r in first]
+        assert [r.q_dyn_order for r in again] == [r.q_dyn_order for r in first]
+        reduced.clear()
+        run_lifted_gradient_descent(nom, eta=0.1, iters=iters, trunc_tol=1e-8)
+        assert len(reduced) == 2 * iters + 1 + 2
+
 
 class TestReconstruction:
     def test_zero_iterate_gives_zero_delta(self, nom_ex2):
