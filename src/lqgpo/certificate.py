@@ -30,6 +30,7 @@ from .lqg import (
     lqg_cost,
     lqg_gradient,
     lqr_terms,
+    perturbation_channels,
 )
 
 TOL_GRAD = 1e-6
@@ -67,14 +68,9 @@ def build_certificate_matrices(
     m1, m2 = plant.n_inputs, plant.n_outputs
     B0 = np.zeros((n + q, m2 + q))
     B0[n:, :m2] = ctrl.B_K @ plant.V
-    C0 = np.zeros((n + q, m2 + q))
-    C0[:n, :m2] = plant.C.T
-    C0[n:, m2:] = np.eye(q)
-    C0 = -C0
-    B1 = np.zeros((m1 + q, n + q))
-    B1[:m1, :n] = plant.B.T
-    B1[m1:, n:] = np.eye(q)
-    B1 = -B1
+    B_p, C_p = perturbation_channels(plant, q)
+    # row-major like the other blocks: a product's rounding depends on the layout
+    C0, B1 = np.ascontiguousarray(-C_p.T), np.ascontiguousarray(-B_p.T)
     C1 = np.zeros((m1 + q, n + q))
     C1[:m1, n:] = plant.R @ ctrl.C_K
     Cterm = C1 - B1 @ cl.P
@@ -193,7 +189,10 @@ def certify(
     globally_optimal      -- stationary and the normalized Markov test passes;
     stationary_not_optimal -- stationary but the Markov test fails;
     not_stationary        -- the gradient is not numerically zero.
+    A tolerance that is negative or not finite raises ValueError.
     """
+    if not (0 <= tol_markov < np.inf and 0 <= tol_grad < np.inf):
+        raise ValueError(f"tolerances must be finite and >= 0, got {tol_markov}, {tol_grad}")
     cl = close_loop(plant, ctrl)
     cost = lqg_cost(cl)
     grads = lqg_gradient(plant, ctrl, cl)

@@ -19,45 +19,18 @@ import click
 import numpy as np
 import scipy
 
-from . import __version__, benchmarks
-from .certificate import certify
+from . import __version__, benchmarks, experiments
+from .certificate import TOL_GRAD, TOL_MARKOV, certify
 from .errors import SolverError
-from .lqg import (
-    DynController,
-    LqgPlant,
-    close_loop,
-    lqg_cost,
-    lqg_optimal,
-    policy_gradient_run,
-)
+from .experiments import m22_truths, optimal_cost, reference_residue
+from .lqg import DynController, LqgPlant, close_loop, lqg_cost, lqg_optimal, policy_gradient_run
 from .solvers import care
-from .ss import StateSpace, h2_norm_sq, minreal, parallel, rational_to_ss, ss_entry_to_rational
-from .sysid import (
-    LaguerreBasis,
-    ZoConfig,
-    default_grid,
-    identify_m22,
-    laguerre_coeffs_zeroth,
-    laguerre_project,
-    laguerre_reconstruct,
-    reduce_order,
-    zo_residue_estimate,
-)
-from .youla import (
-    YoulaIterate,
-    build_nominal,
-    frechet_gradient,
-    run_lifted_gradient_descent,
-    sensitivity,
-)
-
-logger = logging.getLogger(__name__)
+from .sysid import (LaguerreBasis, ZoConfig, default_grid, identify_m22, laguerre_coeffs_zeroth,
+                    laguerre_project, reduce_order, zo_residue_estimate)
+from .youla import (YoulaIterate, assemble_controller, build_nominal, reconstruct_controller_delta,
+                    run_lifted_gradient_descent, sensitivity)
 
 FLOAT_FMT = "%.12g"
-
-
-def _fmt(x) -> str:
-    return FLOAT_FMT % float(x)
 
 
 def _load_json(path):
@@ -84,12 +57,17 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
+    """Write a table; float cells are printed with FLOAT_FMT."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(row)
+            writer.writerow([FLOAT_FMT % c if isinstance(c, float) else c for c in row])
+
+
+def _fit_dict(fit):
+    return None if fit is None else {"num": fit.num.tolist(), "den": fit.den.tolist()}
 
 
 def _metadata(seed=None, **settings):
@@ -207,8 +185,8 @@ def cmd_solve_lqg(plant_path, order, ctrl_path, summary_path):
 @main.command("certify")
 @click.option("--plant", "plant_path", required=True, type=click.Path(exists=True))
 @click.option("--controller", "ctrl_path", required=True, type=click.Path(exists=True))
-@click.option("--tol-markov", type=float, default=None)
-@click.option("--tol-grad", type=float, default=None)
+@click.option("--tol-markov", type=float, default=TOL_MARKOV, show_default=True)
+@click.option("--tol-grad", type=float, default=TOL_GRAD, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
     """Run the global-optimality certificate on a controller."""
@@ -216,35 +194,12 @@ def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
     def body():
         plant = _load_plant(plant_path)
         ctrl = _load_controller(ctrl_path)
-        kwargs = {}
-        if tol_markov is not None:
-            kwargs["tol_markov"] = tol_markov
-        if tol_grad is not None:
-            kwargs["tol_grad"] = tol_grad
-        report = certify(plant, ctrl, **kwargs)
-        payload = report.to_dict()
+        payload = certify(plant, ctrl, tol_markov, tol_grad).to_dict()
         if out_path:
             _write_json(out_path, payload)
         click.echo(json.dumps(payload, sort_keys=True))
 
     _run_command(body)
-
-
-def _optimize_rows(records, jstar):
-    rows = []
-    for rec in records:
-        rel = (rec.cost - jstar) / jstar
-        rows.append(
-            [
-                rec.iter_index,
-                _fmt(rec.cost),
-                _fmt(rel),
-                _fmt(rec.grad_norm_u),
-                rec.q_dyn_order,
-                _fmt(rec.wall_time * 1e3),
-            ]
-        )
-    return rows
 
 
 @main.command("optimize")
@@ -261,7 +216,7 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, trunc_tol, out_path, save_pa
     def body():
         plant = _load_plant(plant_path)
         ctrl0 = _load_controller(ctrl_path)
-        jstar = lqg_cost(close_loop(plant, lqg_optimal(plant)))
+        jstar = optimal_cost(plant)
         nom = build_nominal(plant, ctrl0)
         records, final_it = run_lifted_gradient_descent(
             nom, eta=eta, iters=iters, trunc_tol=trunc_tol
@@ -269,23 +224,16 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, trunc_tol, out_path, save_pa
         _write_csv(
             out_path,
             ["iter", "cost", "rel_error", "grad_norm_U", "q_dyn_order", "wall_ms"],
-            _optimize_rows(records, jstar),
+            [[rec.iter_index, rec.cost, (rec.cost - jstar) / jstar, rec.grad_norm_u,
+              rec.q_dyn_order, rec.wall_time * 1e3] for rec in records],
         )
         if save_path:
-            if iters == 0:
-                ctrl_out = ctrl0
-            else:
-                from .youla import assemble_controller, reconstruct_controller_delta
-
-                delta = reconstruct_controller_delta(nom, final_it)
-                ctrl_out = assemble_controller(ctrl0, delta)
+            ctrl_out = ctrl0 if iters == 0 else assemble_controller(
+                ctrl0, reconstruct_controller_delta(nom, final_it))
             _write_json(save_path, ctrl_out.to_dict())
-        click.echo(
-            json.dumps(
-                {"final_cost": records[-1].cost, "rel_error": (records[-1].cost - jstar) / jstar},
-                sort_keys=True,
-            )
-        )
+        final = records[-1].cost
+        click.echo(json.dumps({"final_cost": final, "rel_error": (final - jstar) / jstar},
+                              sort_keys=True))
 
     _run_command(body)
 
@@ -302,12 +250,9 @@ def cmd_pg(plant_path, ctrl_path, step, iters, out_path):
     def body():
         plant = _load_plant(plant_path)
         ctrl0 = _load_controller(ctrl_path)
-        jstar = lqg_cost(close_loop(plant, lqg_optimal(plant)))
+        jstar = optimal_cost(plant)
         records = policy_gradient_run(plant, ctrl0, step, iters)
-        rows = [
-            [rec.iteration, _fmt(rec.cost), _fmt((rec.cost - jstar) / jstar)]
-            for rec in records
-        ]
+        rows = [[rec.iteration, rec.cost, (rec.cost - jstar) / jstar] for rec in records]
         _write_csv(out_path, ["iter", "cost", "rel_error"], rows)
         click.echo(json.dumps({"final_cost": records[-1].cost}, sort_keys=True))
 
@@ -337,27 +282,14 @@ def cmd_identify(plant_path, ctrl_path, mode, num_deg, den_deg, auto_degrees,
         nom = build_nominal(plant, ctrl0)
         grid = default_grid(grid_n, grid_lo, grid_hi, grid_spacing)
         if auto_degrees:
-            degrees = {}
-            for i in range(nom.M22.n_outputs):
-                for j in range(nom.M22.n_inputs):
-                    truth = ss_entry_to_rational(nom.M22, i, j)
-                    if truth is not None:
-                        degrees[(i, j)] = (truth.num_degree, truth.den_degree)
+            degrees = {k: (t.num_degree, t.den_degree) for k, t in m22_truths(nom.M22).items()}
         else:
             degrees = (num_deg, den_deg)
         fits = identify_m22(nom.M22, grid, degrees, mode=mode)
         payload = {
-            "entries": [
-                [
-                    None if fit is None else {"num": fit.num.tolist(), "den": fit.den.tolist()}
-                    for fit in row
-                ]
-                for row in fits
-            ],
+            "entries": [[_fit_dict(fit) for fit in row] for row in fits],
             "metadata": _metadata(
-                mode=mode,
-                num_deg=num_deg,
-                den_deg=den_deg,
+                mode=mode, num_deg=num_deg, den_deg=den_deg,
                 grid={"lo": grid_lo, "hi": grid_hi, "n": grid_n, "spacing": grid_spacing},
             ),
         }
@@ -390,16 +322,9 @@ def cmd_estimate_s(plant_path, ctrl_path, laguerre_order, pole, method, num_deg,
         else:
             coeffs = laguerre_coeffs_zeroth(nom, it0, basis)
         grid = default_grid()
-        reduced = []
-        for i in range(coeffs.shape[0]):
-            row = []
-            for j in range(coeffs.shape[1]):
-                if np.max(np.abs(coeffs[i, j])) < 1e-9:
-                    row.append(None)
-                    continue
-                fit = reduce_order(coeffs[i, j], basis, num_deg, den_deg, grid)
-                row.append({"num": fit.num.tolist(), "den": fit.den.tolist()})
-            reduced.append(row)
+        reduced = [[_fit_dict(None if np.max(np.abs(c)) < 1e-9
+                              else reduce_order(c, basis, num_deg, den_deg, grid)) for c in row]
+                   for row in coeffs]
         _write_json(
             out_path,
             {
@@ -432,8 +357,7 @@ def cmd_estimate_residue(plant_path, ctrl_path, samples, radius, seed, out_path)
         nom = build_nominal(plant, ctrl0)
         it0 = YoulaIterate.zero(nom)
         estimate = zo_residue_estimate(nom, it0, ZoConfig(radius, samples, seed))
-        _, rmask = frechet_gradient(nom, it0)
-        truth = 2.0 * rmask
+        truth = reference_residue(nom, it0)
         denom = np.linalg.norm(truth)
         rel = float(np.linalg.norm(estimate - truth) / denom) if denom > 0 else 0.0
         payload = {
@@ -447,6 +371,16 @@ def cmd_estimate_residue(plant_path, ctrl_path, samples, radius, seed, out_path)
         click.echo(json.dumps({"relative_error": rel}, sort_keys=True))
 
     _run_command(body)
+
+
+def _write_experiment(out_dir, name, result, metadata, t0):
+    """Write an experiment's tables and its report; echo its verdicts."""
+    out = Path(out_dir)
+    for file_name, (header, rows) in result.tables().items():
+        _write_csv(out / file_name, header, rows)
+    report = {"metadata": metadata, "wall_time_s": time.perf_counter() - t0, **result.summary()}
+    _write_json(out / f"{name}_report.json", report)
+    click.echo(json.dumps(report["verdicts"], sort_keys=True))
 
 
 @main.command("example1")
@@ -468,68 +402,11 @@ def cmd_example1(out_dir, config_path, eta, pg_step, iters, plant_path):
         )
         t0 = time.perf_counter()
         plant = _load_plant(plant_path) if plant_path else benchmarks.example1_plant()
-        jstar = lqg_cost(close_loop(plant, lqg_optimal(plant)))
-        cases = {
-            1: benchmarks.near_stationary_controller(),
-            2: benchmarks.stationary_controller(),
-        }
-        lifted_errors = {}
-        pg_costs = {}
-        out = Path(out_dir)
-        for case, ctrl0 in cases.items():
-            pg_records = policy_gradient_run(plant, ctrl0, cfg["pg_step"], cfg["iters"])
-            nom = build_nominal(plant, ctrl0)
-            lift_records, _ = run_lifted_gradient_descent(
-                nom, eta=cfg["eta"], iters=cfg["iters"]
-            )
-            rows = []
-            for rec in pg_records:
-                rows.append(
-                    ["pg", rec.iteration, _fmt(rec.cost), _fmt((rec.cost - jstar) / jstar)]
-                )
-            for rec in lift_records:
-                rows.append(
-                    ["lifted", rec.iter_index, _fmt(rec.cost), _fmt((rec.cost - jstar) / jstar)]
-                )
-            rows.sort(key=lambda r: (r[0], int(r[1])))
-            rows = [[r[1], r[0], r[2], r[3]] for r in rows]
-            _write_csv(out / f"example1_case{case}.csv", ["iter", "method", "cost", "rel_error"], rows)
-            lifted_errors[case] = [(rec.cost - jstar) / jstar for rec in lift_records]
-            pg_costs[case] = [rec.cost for rec in pg_records]
-        pg2 = pg_costs[2]
-        pg_stalls = max(abs(pg2[i + 1] - pg2[i]) for i in range(len(pg2) - 1)) <= 1e-10
-        lift2 = lifted_errors[2]
-        lifted_decreases = all(lift2[i + 1] < lift2[i] for i in range(len(lift2) - 1))
-        curve_gap = max(
-            abs(a - b) / abs(b) for a, b in zip(lifted_errors[1], lifted_errors[2])
-        )
-        report = {
-            "metadata": _metadata(**cfg, optimal_cost=jstar),
-            "wall_time_s": time.perf_counter() - t0,
-            "verdicts": {
-                "pg_stalls_at_stationary_point": bool(pg_stalls),
-                "lifted_descent_strictly_decreases": bool(lifted_decreases),
-                "near_vs_exact_curves_within_5pct": bool(curve_gap < 0.05),
-            },
-            "curve_gap": curve_gap,
-        }
-        _write_json(out / "example1_report.json", report)
-        click.echo(json.dumps(report["verdicts"], sort_keys=True))
+        result = experiments.example1(plant, **cfg)
+        _write_experiment(out_dir, "example1", result,
+                          _metadata(**cfg, optimal_cost=result.optimal_cost), t0)
 
     _run_command(body)
-
-
-# True/estimated coefficient comparison for one rational entry, as percentages.
-def _coeff_errors_pct(fit, truth):
-    def err(a, b):
-        width = max(a.size, b.size)
-        pa = np.zeros(width)
-        pb = np.zeros(width)
-        pa[: a.size] = a
-        pb[: b.size] = b
-        return 100.0 * np.abs(pa - pb).max() / np.abs(pb).max()
-
-    return err(fit.num, truth.num), err(fit.den, truth.den)
 
 
 @main.command("example2")
@@ -550,129 +427,10 @@ def cmd_example2(out_dir, config_path, n_seeds, radius, laguerre_order, seed):
             {"n_seeds": 5, "radius": 1e-5, "laguerre_order": 15, "seed": 0},
         )
         t0 = time.perf_counter()
-        out = Path(out_dir)
-        plant = benchmarks.example1_plant()
-        ctrl0 = benchmarks.example2_controller()
-        nom = build_nominal(plant, ctrl0)
-
-        # (a) entrywise rational fits of the interconnection on the uniform grid
-        lin_grid = default_grid(200, 0.1, 100.0, "linear")
-        orders = {}
-        truths = {}
-        for i in range(nom.M22.n_outputs):
-            for j in range(nom.M22.n_inputs):
-                truth = ss_entry_to_rational(nom.M22, i, j)
-                if truth is None:
-                    continue
-                truths[(i, j)] = truth
-                orders[(i, j)] = (truth.num_degree, truth.den_degree)
-        fits = identify_m22(nom.M22, lin_grid, orders, mode="direct")
-        rows = []
-        max_err = 0.0
-        pattern_ok = True
-        for i in range(nom.M22.n_outputs):
-            for j in range(nom.M22.n_inputs):
-                fit = fits[i][j]
-                if (fit is None) != ((i, j) not in truths):
-                    pattern_ok = False
-                if fit is None or (i, j) not in truths:
-                    continue
-                e_num, e_den = _coeff_errors_pct(fit, truths[(i, j)])
-                max_err = max(max_err, e_num, e_den)
-                rows.append([f"({i + 1},{j + 1})", _fmt(e_num), _fmt(e_den)])
-        _write_csv(out / "table1.csv", ["entry", "num_error_pct", "den_error_pct"], rows)
-
-        # (b) Laguerre expansion and reduced-order errors per nonzero entry
-        basis = LaguerreBasis(1.0, cfg["laguerre_order"])
-        S0 = sensitivity(nom, YoulaIterate.zero(nom))
-        coeffs = laguerre_project(S0, basis)
-        log_grid = default_grid()
-        lag_rows = []
-        reduced_final = {}
-        expansion_monotone = True
-        for i in range(S0.n_outputs):
-            for j in range(S0.n_inputs):
-                sub = StateSpace(S0.A, S0.B[:, j : j + 1], S0.C[i : i + 1, :], np.zeros((1, 1)))
-                nrm_sq = h2_norm_sq(sub)
-                if nrm_sq < 1e-18:
-                    continue
-                nrm = np.sqrt(nrm_sq)
-                prev = np.inf
-                for order in range(1, cfg["laguerre_order"] + 1):
-                    bb = LaguerreBasis(1.0, order)
-                    cc = coeffs[i, j, : order + 1].reshape(1, 1, -1)
-                    approx = laguerre_reconstruct(cc, bb)
-                    diff = minreal(parallel(sub, approx, -1))
-                    exp_err = np.sqrt(max(h2_norm_sq(diff), 0.0)) / nrm
-                    # An order-N expansion only supports degrees (N, N+1);
-                    # asking for more would be rank deficient.
-                    fit = reduce_order(
-                        coeffs[i, j, : order + 1],
-                        bb,
-                        min(2, order),
-                        min(3, order + 1),
-                        log_grid,
-                    )
-                    red = rational_to_ss(fit)
-                    red_err = np.sqrt(
-                        max(h2_norm_sq(minreal(parallel(sub, red, -1))), 0.0)
-                    ) / nrm
-                    if exp_err > prev + 1e-12:
-                        expansion_monotone = False
-                    prev = exp_err
-                    lag_rows.append(
-                        [f"({i + 1},{j + 1})", order, _fmt(exp_err), _fmt(red_err)]
-                    )
-                    if order == cfg["laguerre_order"]:
-                        reduced_final[(i, j)] = red_err
-        _write_csv(
-            out / "laguerre_error.csv",
-            ["entry", "order", "expansion_rel_err", "reduced_rel_err"],
-            lag_rows,
-        )
-
-        # (c) zeroth-order residue estimation error versus sample count
-        _, rmask = frechet_gradient(nom, YoulaIterate.zero(nom))
-        truth = 2.0 * rmask
-        truth_norm = np.linalg.norm(truth)
-        zo_rows = []
-        medians = {}
-        it0 = YoulaIterate.zero(nom)
-        for m in (10, 100, 1000, 10000):
-            errors = []
-            for k in range(cfg["n_seeds"]):
-                est = zo_residue_estimate(
-                    nom, it0, ZoConfig(cfg["radius"], m, cfg["seed"] + k)
-                )
-                rel = float(np.linalg.norm(est - truth) / truth_norm)
-                errors.append(rel)
-                zo_rows.append([m, cfg["seed"] + k, _fmt(100.0 * rel)])
-            medians[m] = float(np.median(errors))
-            zo_rows.append([m, "median", _fmt(100.0 * medians[m])])
-        _write_csv(out / "table2.csv", ["samples", "seed", "rel_error_pct"], zo_rows)
-
-        med_values = [medians[m] for m in (10, 100, 1000, 10000)]
-        report = {
-            "metadata": _metadata(**cfg, grid_table1="linear 0.1-100 x200",
-                                  grid_reduction="log 0.1-100 x200"),
-            "wall_time_s": time.perf_counter() - t0,
-            "verdicts": {
-                "table1_max_error_below_0.1pct": bool(max_err <= 0.1),
-                "zero_pattern_recovered": bool(pattern_ok),
-                "expansion_error_non_increasing": bool(expansion_monotone),
-                "reduced_error_at_max_order_below_5pct": bool(
-                    max(reduced_final.values()) <= 0.05
-                ),
-                "zo_median_at_10000_below_10pct": bool(medians[10000] <= 0.10),
-                "zo_median_monotone": bool(
-                    all(med_values[k + 1] <= med_values[k] for k in range(3))
-                ),
-            },
-            "table1_max_error_pct": max_err,
-            "zo_medians": {str(m): medians[m] for m in medians},
-        }
-        _write_json(out / "example2_report.json", report)
-        click.echo(json.dumps(report["verdicts"], sort_keys=True))
+        result = experiments.example2(**cfg)
+        metadata = _metadata(**cfg, grid_table1="linear 0.1-100 x200",
+                             grid_reduction="log 0.1-100 x200")
+        _write_experiment(out_dir, "example2", result, metadata, t0)
 
     _run_command(body)
 

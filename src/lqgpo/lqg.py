@@ -202,6 +202,18 @@ def loop_matrix(plant: LqgPlant, ctrl: DynController) -> np.ndarray:
     return A
 
 
+def perturbation_channels(plant: LqgPlant, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maps through which a perturbation of an order-q controller enters and
+    leaves the augmented loop: B_p = [[B, 0], [0, I]], C_p = [[C, 0], [0, I]]."""
+
+    def with_identity(M):
+        out = np.zeros((M.shape[0] + q, M.shape[1] + q))
+        out[: M.shape[0], : M.shape[1]], out[M.shape[0] :, M.shape[1] :] = M, np.eye(q)
+        return out
+
+    return with_identity(plant.B), with_identity(plant.C)
+
+
 def close_loop(plant: LqgPlant, ctrl: DynController) -> ClosedLoop:
     """Assemble the augmented loop; fails if the controller does not stabilize."""
     if ctrl.B_K.shape[1] != plant.n_outputs:

@@ -91,9 +91,10 @@ def sine_response(
 
     Each input channel is driven from rest with c_omega * sin(omega t)
     through a fixed-step classical RK4 integrator (step h = min(0.01,
-    0.05 / omega) unless given); after settle_cycles periods the outputs
-    are least-squares fit to alpha sin + beta cos over sample_cycles
-    periods, giving the response (alpha + j beta) / c_omega.
+    0.05 / omega) unless given); after settle_cycles periods, and at least
+    until the slowest mode of the update M0 has decayed to rho(M0)^n <= eps,
+    the outputs are least-squares fit to alpha sin + beta cos over
+    sample_cycles periods, giving the response (alpha + j beta) / c_omega.
 
     The recursion is not stepped: with z = e^{j omega h} its update is
     x_{k+1} = M0 x_k + c Im(z^k F), F = W1 + e^{j omega h/2} W2 + z W3, so
@@ -131,7 +132,8 @@ def sine_response(
         raise ValueError(f"step {h} is outside the RK4 stability region "
                          f"(spectral radius {radius:.6g} of the update)")
     period = 2.0 * math.pi / omega
-    n_settle = int(np.ceil(settle_cycles * period / h))
+    n_decay = math.ceil(math.log(np.finfo(float).eps) / math.log(radius)) if radius > 0 else 0
+    n_settle = max(int(np.ceil(settle_cycles * period / h)), n_decay)
     n_window = int(np.ceil(sample_cycles * period / h)) + 1
     theta = omega * h
     z = np.exp(1j * theta)
@@ -154,8 +156,10 @@ def fit_rational(samples: list[FreqSample], num_deg: int, den_deg: int) -> Ratio
     Solves min || sum a_k s^k - M(s) (s^n2 + sum b_k s^k) || over the grid
     with the denominator normalized monic, stacking real and imaginary
     parts of every weighted sample.  Raises IdentifiabilityError when the
-    design matrix is rank deficient.
+    design matrix is rank deficient, ValueError for a negative degree.
     """
+    if num_deg < 0 or den_deg < 0:
+        raise ValueError(f"degrees must be non-negative, got {num_deg}, {den_deg}")
     n_unknowns = num_deg + 1 + den_deg
     if len(samples) < num_deg + den_deg + 1:
         raise IdentifiabilityError(

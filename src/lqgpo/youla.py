@@ -29,7 +29,8 @@ import numpy as np
 
 from .certificate import build_certificate_matrices
 from .errors import DimensionError, UnstableError
-from .lqg import ClosedLoop, DynController, LqgPlant, close_loop
+from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, performance_realization,
+                   perturbation_channels)
 from .solvers import psd_sqrt
 from .ss import (
     StateSpace,
@@ -115,21 +116,14 @@ def build_nominal(plant: LqgPlant, ctrl0: DynController) -> NominalLft:
     m1, m2 = plant.n_inputs, plant.n_outputs
     Acl = cl.Acl
     Bcl, Ccl = cl.Bcl, cl.Ccl
-
-    # Perturbation input map [[B, 0], [0, I]] and output map [[C, 0], [0, I]].
-    B_pert = np.zeros((n + q, m1 + q))
-    B_pert[:n, :m1] = plant.B
-    B_pert[n:, m1:] = np.eye(q)
-    C_pert = np.zeros((m2 + q, n + q))
-    C_pert[:m2, :n] = plant.C
-    C_pert[m2:, n:] = np.eye(q)
+    B_pert, C_pert = perturbation_channels(plant, q)
 
     D12 = np.zeros((Ccl.shape[0], m1 + q))
     D12[n:, :m1] = psd_sqrt(plant.R)
     D21 = np.zeros((m2 + q, Bcl.shape[1]))
     D21[:m2, n:] = psd_sqrt(plant.V)
 
-    M11 = StateSpace(Acl, Bcl, Ccl, np.zeros((Ccl.shape[0], Bcl.shape[1])))
+    M11 = performance_realization(cl)
     M12 = StateSpace(Acl, B_pert, Ccl, D12)
     M21 = StateSpace(Acl, Bcl, C_pert, D21)
     M22 = StateSpace(Acl, B_pert, C_pert, np.zeros((m2 + q, m1 + q)))
@@ -321,10 +315,13 @@ def run_lifted_gradient_descent(
     Per iteration: form the sensitivity S_k, subtract eta * S_k from Q_dyn
     (with balanced truncation), and subtract eta times the masked residue
     from Q_stat.  Records cost, gradient norm, and the dynamic order at
-    every iterate including the final one.
+    every iterate including the final one.  Raises ValueError unless the
+    truncation tolerance is finite with 0 <= trunc_tol < 1.
     """
     if eta is not None and eta <= 0:
         raise ValueError("step size must be positive")
+    if not 0 <= trunc_tol < 1:
+        raise ValueError(f"truncation tolerance must satisfy 0 <= trunc_tol < 1, got {trunc_tol}")
     L_hat = estimate_smoothness(nom)
     if eta is None:
         eta = min(0.1, 1.9 / L_hat) if L_hat > 0 else 0.1
@@ -363,14 +360,7 @@ def iterate_from_controller(nom: NominalLft, target: DynController) -> YoulaIter
         raise DimensionError("target controller order must match the base controller")
     delta = target.as_packed() - nom.ctrl0.as_packed()
     cl_target = close_loop(plant, target)  # also verifies stabilization
-    n, q = plant.n, target.order
-    m1, m2 = plant.n_inputs, plant.n_outputs
-    Bp = np.zeros((n + q, m1 + q))
-    Bp[:n, :m1] = plant.B
-    Bp[n:, m1:] = np.eye(q)
-    Cp = np.zeros((m2 + q, n + q))
-    Cp[:m2, :n] = plant.C
-    Cp[m2:, n:] = np.eye(q)
+    Bp, Cp = perturbation_channels(plant, target.order)
     Q_dyn = StateSpace(cl_target.Acl, Bp @ delta, delta @ Cp, np.zeros_like(delta))
     return YoulaIterate(minreal(Q_dyn), delta)
 

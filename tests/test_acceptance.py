@@ -14,14 +14,10 @@ from click.testing import CliRunner
 
 from conftest import MASTER_SEED, random_plant, random_stabilizing_controller, random_stable_ss
 from _reference import A_K_STAR, B_K_STAR, C_K_STAR, DISPLAY_TOL
-from lqgpo.benchmarks import (
-    example1_plant,
-    example2_controller,
-    near_stationary_controller,
-    stationary_controller,
-)
+from lqgpo.benchmarks import example1_plant, example2_controller, stationary_controller
 from lqgpo.certificate import Verdict, certify, lqr_certificate
 from lqgpo.cli import main as cli_main
+from lqgpo.experiments import example1, laguerre_errors, zo_table
 from lqgpo.lqg import (
     DynController,
     LqrProblem,
@@ -33,31 +29,17 @@ from lqgpo.lqg import (
     lqr_gradient_descent,
     lqr_optimal,
     performance_realization,
-    policy_gradient_run,
 )
 from lqgpo.solvers import lyap_ct
 from lqgpo.ss import (
     StateSpace,
     freq_response,
     h2_norm_sq,
-    minreal,
     parallel,
-    rational_to_ss,
     series,
     stable_residue_sum,
 )
-from lqgpo.sysid import (
-    LaguerreBasis,
-    ZoConfig,
-    default_grid,
-    identify_m22,
-    laguerre_coeffs_zeroth,
-    laguerre_project,
-    laguerre_reconstruct,
-    reduce_order,
-    zo_residue_estimate,
-    _entry_subsystem,
-)
+from lqgpo.sysid import LaguerreBasis, identify_m22, laguerre_coeffs_zeroth
 from lqgpo.youla import (
     YoulaIterate,
     build_nominal,
@@ -69,7 +51,6 @@ from lqgpo.youla import (
     mask_block,
     norm_u,
     run_lifted_gradient_descent,
-    sensitivity,
 )
 
 
@@ -215,27 +196,10 @@ def test_criterion_04_gradient_oracles():
 
 def test_criterion_05_benchmark_dynamics():
     t0 = time.perf_counter()
-    plant = example1_plant()
-    jstar = lqg_cost(close_loop(plant, lqg_optimal(plant)))
-
-    pg = policy_gradient_run(plant, stationary_controller(), 10.0, 14)
-    pg_costs = [r.cost for r in pg]
-    pg_step_change = max(abs(pg_costs[i + 1] - pg_costs[i]) for i in range(14))
-
-    nom_exact = build_nominal(plant, stationary_controller())
-    rec_exact, _ = run_lifted_gradient_descent(nom_exact, eta=0.1, iters=14)
-    exact_costs = [r.cost for r in rec_exact]
-    strictly_decreasing = all(
-        exact_costs[i + 1] < exact_costs[i] for i in range(14)
-    )
-
-    nom_near = build_nominal(plant, near_stationary_controller())
-    rec_near, _ = run_lifted_gradient_descent(nom_near, eta=0.1, iters=14)
-    gap = max(
-        abs((a.cost - jstar) / jstar - (b.cost - jstar) / jstar)
-        / abs((b.cost - jstar) / jstar)
-        for a, b in zip(rec_near, rec_exact)
-    )
+    result = example1(example1_plant(), eta=0.1, pg_step=10.0, iters=14)
+    pg_step_change = result.pg_step_change
+    strictly_decreasing = result.lifted_decreases
+    gap = result.curve_gap
     elapsed = time.perf_counter() - t0
     ok = (
         pg_step_change <= 1e-10
@@ -330,19 +294,8 @@ def test_criterion_07_interconnection_fitting(tmp_path):
 
 def test_criterion_08_zeroth_order_table():
     t0 = time.perf_counter()
-    plant = example1_plant()
-    nom = build_nominal(plant, example2_controller())
-    it0 = YoulaIterate.zero(nom)
-    _, rmask = frechet_gradient(nom, it0)
-    truth = 2.0 * rmask
-    truth_norm = np.linalg.norm(truth)
-    medians = []
-    for m in (10, 100, 1000, 10000):
-        errs = []
-        for seed in range(5):
-            est = zo_residue_estimate(nom, it0, ZoConfig(1e-5, m, seed))
-            errs.append(np.linalg.norm(est - truth) / truth_norm)
-        medians.append(float(np.median(errs)))
+    nom = build_nominal(example1_plant(), example2_controller())
+    medians = list(zo_table(nom, n_seeds=5, radius=1e-5, seed=0).medians.values())
     elapsed = time.perf_counter() - t0
     monotone = all(medians[k + 1] <= medians[k] for k in range(3))
     ok = medians[-1] <= 0.10 and monotone and elapsed < 120.0
@@ -355,35 +308,11 @@ def test_criterion_08_zeroth_order_table():
 
 
 def test_criterion_09_laguerre_estimation():
-    plant = example1_plant()
-    nom = build_nominal(plant, example2_controller())
-    S0 = sensitivity(nom, YoulaIterate.zero(nom))
-    basis = LaguerreBasis(1.0, 15)
-    coeffs = laguerre_project(S0, basis)
-    grid = default_grid()
-    worst_reduced = 0.0
-    monotone = True
-    for i in range(3):
-        for j in range(3):
-            sub = _entry_subsystem(S0, i, j)
-            nrm_sq = h2_norm_sq(sub)
-            if nrm_sq < 1e-18:
-                continue
-            nrm = np.sqrt(nrm_sq)
-            prev = np.inf
-            for order in range(16):
-                bb = LaguerreBasis(1.0, order)
-                approx = laguerre_reconstruct(
-                    coeffs[i, j, : order + 1].reshape(1, 1, -1), bb
-                )
-                err = np.sqrt(max(h2_norm_sq(minreal(parallel(sub, approx, -1))), 0.0)) / nrm
-                monotone = monotone and err <= prev + 1e-12
-                prev = err
-            fit = reduce_order(coeffs[i, j], basis, 2, 3, grid)
-            red_err = np.sqrt(
-                max(h2_norm_sq(minreal(parallel(sub, rational_to_ss(fit), -1))), 0.0)
-            ) / nrm
-            worst_reduced = max(worst_reduced, red_err)
+    nom = build_nominal(example1_plant(), example2_controller())
+    lag = laguerre_errors(nom, 15)  # expansion orders 0..15, reduced fit at order 15
+    coeffs = lag.coeffs
+    monotone = lag.non_increasing
+    worst_reduced = max(reduced[-1] for reduced in lag.reduced.values())
     probe_basis = LaguerreBasis(1.0, 4)
     probed = laguerre_coeffs_zeroth(nom, YoulaIterate.zero(nom), probe_basis)
     projected = coeffs[:, :, :5]

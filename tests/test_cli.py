@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, file schemas, determinism."""
 
+import ast
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,12 @@ class TestExitCodes:
         ["identify", "--grid-n", "0"],
         ["identify", "--grid-lo", "-1"],
         ["identify", "--grid-lo", "10", "--grid-hi", "1"],
+        ["identify", "--num-deg", "-1"],
+        ["certify", "--tol-markov", "nan"],
+        ["certify", "--tol-markov", "-1"],
+        ["certify", "--tol-grad", "nan"],
+        ["optimize", "--trunc-tol", "nan"],
+        ["optimize", "--trunc-tol", "2"],
     ])
     def test_out_of_range_input_exits_2(self, runner, io_dir, args):
         out = io_dir / "out.csv"
@@ -228,10 +236,6 @@ class TestEstimationCommands:
         assert [[fit is None for fit in row] for row in sine] == \
             [[fit is None for fit in row] for row in direct]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "sine_response settles for 20 periods, 1.3 s at omega = 100, so the "
-        "pole at -0.5 leaves a transient in the fit window; with "
-        "settle_cycles=2000 the fits agree to 3e-8"))
     def test_identify_sine_matches_direct(self, runner, io_dir):
         direct = self.identify_entries(runner, io_dir, "direct")
         sine = self.identify_entries(runner, io_dir, "sine")
@@ -322,6 +326,15 @@ class TestExperiments:
         for name in ("table1.csv", "table2.csv", "laguerre_error.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_example1_zero_iters(self, runner, tmp_path):
+        out = tmp_path / "ex1"
+        result = runner.invoke(main, ["example1", "--out", str(out), "--iters", "0"])
+        assert result.exit_code == 0, result.output
+        assert all(json.loads(result.output).values())
+        for case in (1, 2):
+            _, rows = read_csv(out / f"example1_case{case}.csv")
+            assert [r[:2] for r in rows] == [["0", "lifted"], ["0", "pg"]]
+
     def test_example1_deterministic(self, runner, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -366,3 +379,25 @@ class TestExperiments:
         )
         assert result.exit_code == 2
         assert "must be" in result.output
+
+
+def test_only_cli_imports_experiments():
+    """The experiments sit on top of the library: no module but the CLI
+    imports them, and importing the package loads neither."""
+    src = Path(__file__).resolve().parent.parent / "src" / "lqgpo"
+
+    def imported(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.module:
+                    yield node.module.rsplit(".", 1)[-1]
+                if node.module in (None, "lqgpo"):
+                    yield from (alias.name for alias in node.names)
+
+    importers = sorted(
+        path.name for path in src.glob("*.py") if "experiments" in set(imported(path))
+    )
+    assert importers == ["cli.py"]
+    assert not {"cli", "experiments"} & set(imported(src / "__init__.py"))

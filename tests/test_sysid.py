@@ -1,6 +1,8 @@
 """Estimation pipeline: frequency sampling, rational fits, Laguerre
 expansions, zeroth-order residue estimation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from lqgpo.sysid import (
     zo_gradient_estimate,
     zo_residue_estimate,
     _entry_subsystem,
+    _rk4_step_ops,
 )
 from lqgpo.youla import (
     YoulaIterate,
@@ -47,6 +50,20 @@ from lqgpo.lqg import DynController, lqg_optimal
 
 def lag_half():
     return StateSpace([[-0.5]], [[1.0]], [[1.0]], [[0.0]])
+
+
+def stepped_reference(g, omega, settle_cycles=20, step=None, **kwargs):
+    """The frozen stepped loop over sine_response's settle length: settle_cycles
+    periods, and at least until the slowest RK4 mode has decayed to
+    rho(M0)^n <= eps.  The loop takes that length as (fractional) cycles."""
+    h = min(0.01, 0.05 / omega) if step is None else step
+    period = 2.0 * math.pi / omega
+    n_settle = math.ceil(settle_cycles * period / h)
+    if g.n_states:
+        radius = np.abs(np.linalg.eigvals(_rk4_step_ops(g.A, g.B, h)[0])).max()
+        n_settle = max(n_settle, math.ceil(math.log(np.finfo(float).eps) / math.log(radius)))
+    cycles = (n_settle - 0.5) * h / period
+    return sine_response_loop(g, omega, settle_cycles=cycles, step=step, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +120,7 @@ class TestSineResponse:
     @pytest.mark.parametrize("omega", [0.1, 0.3, 1.0, 10.0])
     def test_matches_stepped_recursion_on_m22(self, nom_ex2, omega):
         est = sine_response(nom_ex2.M22, omega)
-        ref = sine_response_loop(nom_ex2.M22, omega)
+        ref = stepped_reference(nom_ex2.M22, omega)
         assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
         for i, j in M22_ZERO_ENTRIES:
             assert est[i, j] == 0.0
@@ -115,7 +132,7 @@ class TestSineResponse:
             "laguerre": (LaguerreBasis(1.0, 5).chain(), 0.5, {}),
             "feedthrough": (StateSpace([[-1.0, 2.0], [0.0, -3.0]], [[1.0, 0.0], [1.0, 1.0]],
                                        [[1.0, 0.5]], [[0.7, -0.2]]), 2.0, {}),
-            # the transient dominates the fit
+            # slow poles: the settle length comes from the decay rule alone
             "no-settle": (StateSpace([[-0.05, 1.0], [0.0, -0.1]], [[1.0], [0.3]],
                                      [[1.0, 0.0], [0.2, 1.0]], [[0.0], [0.0]]), 0.7,
                           {"settle_cycles": 0, "sample_cycles": 1}),
@@ -124,8 +141,16 @@ class TestSineResponse:
                                   [[0.3, -1.2]]), 1.0, {}),
         }[case]
         est = sine_response(g, omega, **kwargs)
-        ref = sine_response_loop(g, omega, **kwargs)
+        ref = stepped_reference(g, omega, **kwargs)
         assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0, 100.0])
+    def test_settles_at_high_frequency(self, nom_ex2, omega):
+        # 20 periods last 1.3 s at omega = 100, too short for the slow poles'
+        # transient to leave the fit window without the decay rule
+        est = sine_response(nom_ex2.M22, omega)
+        truth = freq_response(nom_ex2.M22, omega)
+        assert np.abs(est - truth).max() <= 1e-8 * np.abs(truth).max()
 
     def test_low_frequency_default_cycles(self, nom_ex2):
         # 1.9 million RK4 steps per channel if the recursion were stepped
