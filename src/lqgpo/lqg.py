@@ -16,6 +16,7 @@ K* = R^-1 B^T P* and the gradient is 2 (R K - B^T P_K) Sigma_K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,8 +319,11 @@ def policy_gradient_run(
 
     An update that would destabilize the loop is retried with a halved step
     (per update, up to max_halvings); if it still destabilizes, the update is
-    skipped.  Stalling is a valid outcome, not an error.
+    skipped.  Stalling is a valid outcome, not an error.  Raises ValueError
+    unless 0 < step < inf.
     """
+    if not 0 < step < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {step}")
     ctrl = ctrl0
     cl = close_loop(plant, ctrl)
     records = [PgRecord(0, ctrl, lqg_cost(cl))]

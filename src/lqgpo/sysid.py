@@ -246,8 +246,8 @@ class LaguerreBasis:
     order: int
 
     def __post_init__(self):
-        if self.pole <= 0:
-            raise ValueError("pole must be positive")
+        if not 0 < self.pole < math.inf:
+            raise ValueError(f"pole must be positive and finite, got {self.pole}")
         if self.order < 0:
             raise ValueError("order must be nonnegative")
 
@@ -389,8 +389,8 @@ class ZoConfig:
     seed: int
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.samples <= 0:
             raise ValueError("samples must be positive")
 

@@ -22,6 +22,7 @@ scaling.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -263,8 +264,9 @@ class IterateRecord:
 
 
 def estimate_smoothness(nom: NominalLft) -> float:
-    """Grid-plus-refinement estimate of the gradient Lipschitz constant:
-    twice the product of the squared peak gains of M12 and M21."""
+    """Upper bound on the gradient Lipschitz constant of the dynamic part:
+    L = 2 ||M12||_inf^2 ||M21||_inf^2, each norm an upper value from
+    `hinf_norm_est`."""
     h12 = hinf_norm_est(nom.M12)
     h21 = hinf_norm_est(nom.M21)
     return 2.0 * (h12**2) * (h21**2)
@@ -298,7 +300,7 @@ def static_quadratic_form(nom: NominalLft) -> np.ndarray:
 
 def estimate_smoothness_tight(nom: NominalLft) -> float:
     """Smoothness estimate that also covers static directions, for use when
-    the peak-gain estimate proves too small on a descent-lemma check."""
+    the peak-gain bound proves too small on a descent-lemma check."""
     G = static_quadratic_form(nom)
     lam = float(np.linalg.eigvalsh(0.5 * (G + G.T)).max()) if G.size else 0.0
     return max(estimate_smoothness(nom), 4.0 * lam)
@@ -315,11 +317,13 @@ def run_lifted_gradient_descent(
     Per iteration: form the sensitivity S_k, subtract eta * S_k from Q_dyn
     (with balanced truncation), and subtract eta times the masked residue
     from Q_stat.  Records cost, gradient norm, and the dynamic order at
-    every iterate including the final one.  Raises ValueError unless the
-    truncation tolerance is finite with 0 <= trunc_tol < 1.
+    every iterate including the final one.  With eta None the step is
+    min(0.1, 1.9 / L) for the bound L of `estimate_smoothness`.  Raises
+    ValueError unless a given eta is positive and finite and the truncation
+    tolerance is finite with 0 <= trunc_tol < 1.
     """
-    if eta is not None and eta <= 0:
-        raise ValueError("step size must be positive")
+    if eta is not None and not 0 < eta < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {eta}")
     if not 0 <= trunc_tol < 1:
         raise ValueError(f"truncation tolerance must satisfy 0 <= trunc_tol < 1, got {trunc_tol}")
     L_hat = estimate_smoothness(nom)
@@ -327,7 +331,7 @@ def run_lifted_gradient_descent(
         eta = min(0.1, 1.9 / L_hat) if L_hat > 0 else 0.1
     if L_hat > 0 and eta >= 2.0 / L_hat:
         logger.warning(
-            "step size %.3g exceeds the 2/L guideline (L estimate %.3g)", eta, L_hat
+            "step size %.3g exceeds the 2/L guideline (L bound %.3g)", eta, L_hat
         )
     it = YoulaIterate.zero(nom)
     records: list[IterateRecord] = []

@@ -177,6 +177,11 @@ class TestExitCodes:
         ["certify", "--tol-grad", "nan"],
         ["optimize", "--trunc-tol", "nan"],
         ["optimize", "--trunc-tol", "2"],
+        ["pg", "--step", "-1"],
+        ["pg", "--step", "0"],
+        ["estimate-residue", "--radius", "nan"],
+        ["estimate-residue", "--radius", "inf"],
+        ["optimize", "--eta", "inf"],
     ])
     def test_out_of_range_input_exits_2(self, runner, io_dir, args):
         out = io_dir / "out.csv"

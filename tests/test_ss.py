@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from conftest import freq_response_fast, random_stable_ss
 from lqgpo.errors import AxisPoleError, DimensionError, UnstableError
 from lqgpo.ss import (
+    HINF_TOL,
     RationalScalar,
     StateSpace,
     freq_response,
@@ -26,6 +28,7 @@ from lqgpo.ss import (
     static_gain,
     zero_system,
 )
+from lqgpo.youla import build_nominal, estimate_smoothness
 
 
 def lag(pole=1.0, gain=1.0):
@@ -300,6 +303,12 @@ class TestMinreal:
         anti = StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]])
         g = parallel(parallel(stable, anti, 1), parallel(stable, anti, 1), -1)
         assert minreal(g).n_states == 0
+        # purely anti-stable and non-minimal: 2/(s - 1) on two states
+        g = parallel(anti, anti, 1)
+        red = minreal(g)
+        assert red.n_states == 1
+        for w in (0.0, 0.5, 3.0):
+            assert freq_response(red, w)[0, 0] == pytest.approx(2.0 / (1j * w - 1.0), rel=1e-10)
 
     def test_hinf_deviation_bound(self):
         from lqgpo.ss import gramian_ctrb, gramian_obsv
@@ -314,6 +323,68 @@ class TestMinreal:
                 np.abs(np.linalg.eigvals(gramian_ctrb(g) @ gramian_obsv(g))).max()
             )
             assert hinf_norm_est(diff) <= 10 * tol * hsv_max
+
+
+def refined_peak(g):
+    """Largest gain found by a dense log sweep, refined around its best point."""
+    grid = np.concatenate([[0.0], np.logspace(-3, 3, 4001)])
+    gains = np.linalg.svd(freq_response_fast(g, grid), compute_uv=False)[:, 0]
+    k = int(np.argmax(gains))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    res = minimize_scalar(lambda w: -np.linalg.norm(freq_response(g, w), 2),
+                          bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    return max(gains[k], -res.fun, np.linalg.norm(g.D, 2))
+
+
+class TestHinfNorm:
+    def test_sharp_resonance_between_grid_points(self):
+        # 50/(s+1) + w0^2/(s^2 + 2e-5 w0 s + w0^2): a peak of about 5e4,
+        # 1e-5 damping, at a frequency no log grid is likely to hit
+        w0 = 37.3
+        g = parallel(
+            rational_to_ss(RationalScalar([50.0], [1.0, 1.0])),
+            rational_to_ss(RationalScalar([w0**2], [w0**2, 2e-5 * w0, 1.0])),
+        )
+        assert hinf_norm_est(g) >= 4.99e4
+
+    def test_bracket_against_dense_sweep(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n = int(rng.integers(1, 8))
+            g = random_stable_ss(rng, n, 2, 3, proper=True)
+            peak = refined_peak(g)
+            value = hinf_norm_est(g)
+            # 1e-12: how far the refined sweep may sit below the true peak
+            assert peak <= value <= (1 + 2 * HINF_TOL) * peak * (1 + 1e-12)
+
+    def test_peak_at_infinity_is_bounded(self):
+        # (1 + 1.5 s)/(1 + s): the gain rises to its supremum 1.5 as w -> inf;
+        # the Hankel bound of this system is 2
+        g = rational_to_ss(RationalScalar([1.0, 1.5], [1.0, 1.0]))
+        assert 1.5 <= hinf_norm_est(g) <= 2.0
+
+    def test_static_gain(self):
+        D = np.array([[1.0, 2.0], [3.0, 4.0]])
+        sigma = np.linalg.norm(D, 2)
+        assert sigma <= hinf_norm_est(static_gain(D)) <= (1 + 2 * HINF_TOL) * sigma
+
+    def test_unstable_rejected(self):
+        with pytest.raises(UnstableError):
+            hinf_norm_est(StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
+
+    def test_smoothness_bound_is_cheap(self, plant1, ctrl_stationary, monkeypatch):
+        import lqgpo.ss as ss_module
+
+        calls = []
+
+        def counting(g, omega):
+            calls.append(omega)
+            return freq_response(g, omega)
+
+        nom = build_nominal(plant1, ctrl_stationary)
+        monkeypatch.setattr(ss_module, "freq_response", counting)
+        estimate_smoothness(nom)
+        assert len(calls) <= 50
 
 
 class TestRational:
