@@ -78,18 +78,23 @@ def build_certificate_matrices(
     return CertificateMatrices(B0, C0, B1, C1, Cterm, Bterm)
 
 
+def _markov_norms(C: np.ndarray, A: np.ndarray, B: np.ndarray, count: int) -> list[float]:
+    """Frobenius norms of C A^i B for i = 0..count-1."""
+    norms = []
+    M = B
+    for _ in range(count):
+        norms.append(float(np.linalg.norm(C @ M, "fro")))
+        M = A @ M
+    return norms
+
+
 def markov_test(cm: CertificateMatrices, Acl: np.ndarray, count: int) -> list[float]:
     """Frobenius norms of Cterm Acl^i Bterm for i = 0..count-1.
 
     All of them vanishing is equivalent to the optimality transfer function
     being identically zero.
     """
-    norms = []
-    M = cm.Bterm
-    for _ in range(count):
-        norms.append(float(np.linalg.norm(cm.Cterm @ M, "fro")))
-        M = Acl @ M
-    return norms
+    return _markov_norms(cm.Cterm, Acl, cm.Bterm, count)
 
 
 def normalized_markov(cm: CertificateMatrices, Acl: np.ndarray, count: int) -> list[float]:
@@ -108,11 +113,10 @@ def _normalize(cm: CertificateMatrices, Acl: np.ndarray, raw: list[float]) -> li
     return out
 
 
-def rank_condition_check(
-    cl: ClosedLoop, grad_is_zero: bool, tol_rank: float = TOL_RANK
-) -> tuple[int, int, bool]:
+def rank_condition_check(cl: ClosedLoop, grad_is_zero: bool) -> tuple[int, int, bool]:
     """Rank-based sufficient certificate: the lower block rows of P and
-    Sigma both have full rank (the controller order) at a stationary point.
+    Sigma both have full rank (the controller order, singular values above
+    TOL_RANK relative) at a stationary point.
     """
     n, q = cl.n, cl.q
     P2 = cl.P[n:, :]
@@ -122,21 +126,19 @@ def rank_condition_check(
         if M.size == 0:
             return 0
         sv = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(sv > tol_rank * sv[0])) if sv[0] > 0 else 0
+        return int(np.sum(sv > TOL_RANK * sv[0])) if sv[0] > 0 else 0
 
     rank_P2 = rank_of(P2)
     rank_S2 = rank_of(S2)
     return rank_P2, rank_S2, bool(rank_P2 == q and rank_S2 == q and grad_is_zero)
 
 
-def coupling_condition_check(
-    cl: ClosedLoop, tol_det: float = TOL_DET
-) -> tuple[bool | None, bool | None]:
+def coupling_condition_check(cl: ClosedLoop) -> tuple[bool | None, bool | None]:
     """Definiteness-plus-coupling sufficient conditions (full-order case only).
 
-    Checks P > 0 with invertible off-diagonal block P12, and the Sigma
-    analogue.  Returns (None, None) when the controller order differs from
-    the plant order, where the conditions do not apply.
+    Checks P > 0 with invertible off-diagonal block P12 (|det| > TOL_DET),
+    and the Sigma analogue.  Returns (None, None) when the controller order
+    differs from the plant order, where the conditions do not apply.
     """
     n, q = cl.n, cl.q
     if n != q:
@@ -146,7 +148,7 @@ def coupling_condition_check(
         if np.linalg.eigvalsh(0.5 * (M + M.T)).min() <= 0:
             return False
         block = M[:n, n:]
-        return bool(abs(np.linalg.det(block)) > tol_det)
+        return bool(abs(np.linalg.det(block)) > TOL_DET)
 
     return condition(cl.P), condition(cl.Sigma)
 
@@ -238,19 +240,17 @@ class LqrCertificate:
     passes: bool
 
 
-def lqr_certificate(prob: LqrProblem, K, tol: float = TOL_MARKOV) -> LqrCertificate:
+def lqr_certificate(prob: LqrProblem, K) -> LqrCertificate:
+    """The certificate of gain K; it passes when ||R K - B^T P_K|| is at most
+    TOL_MARKOV (1 + ||B^T P_K||)."""
     _, gap, Sigma, P = lqr_terms(prob, K)
     Acl = prob.closed_loop(K)
-    norms = []
-    M = Sigma
-    for _ in range(Acl.shape[0]):
-        norms.append(float(np.linalg.norm(gap @ M, "fro")))
-        M = Acl @ M
+    norms = _markov_norms(gap, Acl, Sigma, Acl.shape[0])
     gap_norm = float(np.linalg.norm(gap, "fro"))
     sigma_min = float(np.linalg.eigvalsh(Sigma).min())
     return LqrCertificate(
         markov_norms=norms,
         gap_norm=gap_norm,
         sigma_min_gramian=sigma_min,
-        passes=bool(gap_norm <= tol * (1.0 + np.linalg.norm(prob.B.T @ P, "fro"))),
+        passes=bool(gap_norm <= TOL_MARKOV * (1.0 + np.linalg.norm(prob.B.T @ P, "fro"))),
     )

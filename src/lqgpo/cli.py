@@ -21,10 +21,8 @@ import scipy
 
 from . import __version__, benchmarks, experiments
 from .certificate import TOL_GRAD, TOL_MARKOV, certify
-from .errors import SolverError
 from .experiments import m22_truths, optimal_cost, reference_residue
 from .lqg import DynController, LqgPlant, close_loop, lqg_cost, lqg_optimal, policy_gradient_run
-from .solvers import care
 from .sysid import (LaguerreBasis, ZoConfig, default_grid, identify_m22, laguerre_coeffs_zeroth,
                     laguerre_project, reduce_order, zo_residue_estimate)
 from .youla import (YoulaIterate, assemble_controller, build_nominal, reconstruct_controller_delta,
@@ -158,20 +156,14 @@ def cmd_solve_lqg(plant_path, order, ctrl_path, summary_path):
 
     def body():
         plant = _load_plant(plant_path)
-        try:
-            ctrl = lqg_optimal(plant, order)
-            rep_ctrl = care(plant.A, plant.B, plant.Q, plant.R)
-            rep_filt = care(plant.A.T, plant.C.T, plant.W, plant.V)
-            cost = lqg_cost(close_loop(plant, ctrl))
-        except SolverError as exc:
-            # Synthesis failure means the plant data is not usable: input error.
-            raise ValueError(f"synthesis failed: {exc}") from exc
+        ctrl = lqg_optimal(plant, order)
+        cost = lqg_cost(close_loop(plant, ctrl))
         _write_json(ctrl_path, ctrl.to_dict())
         summary = {
             "cost": cost,
             "riccati_residuals": {
-                "control": rep_ctrl.residual_norm,
-                "filter": rep_filt.residual_norm,
+                "control": plant.control_riccati.residual_norm,
+                "filter": plant.filter_riccati.residual_norm,
             },
             "order": ctrl.order,
         }
@@ -207,10 +199,9 @@ def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
 @click.option("--controller", "ctrl_path", required=True, type=click.Path(exists=True))
 @click.option("--eta", type=float, default=0.1, show_default=True)
 @click.option("--iters", type=click.IntRange(min=0), default=14, show_default=True)
-@click.option("--trunc-tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--save-controller", "save_path", type=click.Path(), default=None)
-def cmd_optimize(plant_path, ctrl_path, eta, iters, trunc_tol, out_path, save_path):
+def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
     """Lifted-space gradient descent from an initial stabilizing controller."""
 
     def body():
@@ -218,9 +209,7 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, trunc_tol, out_path, save_pa
         ctrl0 = _load_controller(ctrl_path)
         jstar = optimal_cost(plant)
         nom = build_nominal(plant, ctrl0)
-        records, final_it = run_lifted_gradient_descent(
-            nom, eta=eta, iters=iters, trunc_tol=trunc_tol
-        )
+        records, final_it = run_lifted_gradient_descent(nom, eta=eta, iters=iters)
         _write_csv(
             out_path,
             ["iter", "cost", "rel_error", "grad_norm_U", "q_dyn_order", "wall_ms"],

@@ -17,7 +17,7 @@ K* = R^-1 B^T P* and the gradient is 2 (R K - B^T P_K) Sigma_K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,13 @@ from .ss import StateSpace
 
 # Dual-trace agreement required of every constructed closed loop.
 COST_CONSISTENCY_RTOL = 1e-8
+# Step halvings policy_gradient_run tries before it skips an update.
+PG_MAX_HALVINGS = 20
+# lqr_gradient_descent's initial step, its stopping gap ||R K - B^T P_K||
+# relative to 1 + ||R K||, and its halvings per update before it stops.
+LQR_STEP = 0.1
+LQR_GAP_TOL = 1e-8
+LQR_MAX_HALVINGS = 40
 
 
 def _mat(value, name):
@@ -47,9 +54,22 @@ def _check_spd(M, name):
     return M
 
 
+def _riccati(what, A, B, Q, R) -> solvers.SolveReport:
+    """The stabilizing CARE solution, read-only.  Problem data without one
+    fail the stabilizability/detectability check: a ValueError."""
+    try:
+        report = solvers.care(A, B, Q, R)
+    except SolverError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    report.solution.setflags(write=False)
+    return report
+
+
 @dataclass(frozen=True)
 class LqgPlant:
-    """Problem data (A, B, C, Q, R, W, V) of the continuous-time LQG problem."""
+    """Problem data (A, B, C, Q, R, W, V) of the continuous-time LQG problem,
+    with the stabilizing solutions of its control and filter Riccati
+    equations; solving them is the stabilizability/detectability check."""
 
     A: np.ndarray
     B: np.ndarray
@@ -58,6 +78,8 @@ class LqgPlant:
     R: np.ndarray
     W: np.ndarray
     V: np.ndarray
+    control_riccati: solvers.SolveReport = field(init=False, repr=False, compare=False)
+    filter_riccati: solvers.SolveReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _mat(self.A, "A")
@@ -84,9 +106,10 @@ class LqgPlant:
             val = val.copy()
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        # Stabilizability/detectability check via Riccati solvability.
-        solvers.care(A, B, Q, R)
-        solvers.care(A.T, C.T, W, V)
+        object.__setattr__(self, "control_riccati", _riccati(
+            "plant is not stabilizable", self.A, self.B, self.Q, self.R))
+        object.__setattr__(self, "filter_riccati", _riccati(
+            "plant is not detectable", self.A.T, self.C.T, self.W, self.V))
 
     @property
     def n(self) -> int:
@@ -313,13 +336,12 @@ def policy_gradient_run(
     ctrl0: DynController,
     step: float,
     iters: int,
-    max_halvings: int = 20,
 ) -> list[PgRecord]:
     """Vanilla policy gradient on (A_K, B_K, C_K) with a shared step size.
 
     An update that would destabilize the loop is retried with a halved step
-    (per update, up to max_halvings); if it still destabilizes, the update is
-    skipped.  Stalling is a valid outcome, not an error.  Raises ValueError
+    (per update, up to PG_MAX_HALVINGS); if it still destabilizes, the update
+    is skipped.  Stalling is a valid outcome, not an error.  Raises ValueError
     unless 0 < step < inf.
     """
     if not 0 < step < math.inf:
@@ -330,7 +352,7 @@ def policy_gradient_run(
     for it in range(1, iters + 1):
         gA, gB, gC = lqg_gradient(plant, ctrl, cl)
         eta = step
-        for _ in range(max_halvings + 1):
+        for _ in range(PG_MAX_HALVINGS + 1):
             cand = DynController(
                 ctrl.A_K - eta * gA, ctrl.B_K - eta * gB, ctrl.C_K - eta * gC
             )
@@ -353,12 +375,14 @@ def policy_gradient_run(
 
 @dataclass(frozen=True)
 class LqrProblem:
-    """State-feedback problem data; the loop closes as A - B K."""
+    """State-feedback problem data, with the stabilizing solution of its
+    Riccati equation; the loop closes as A - B K."""
 
     A: np.ndarray
     B: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    riccati: solvers.SolveReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _mat(self.A, "A")
@@ -373,7 +397,8 @@ class LqrProblem:
             val = val.copy()
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        solvers.care(A, B, Q, R)
+        object.__setattr__(self, "riccati", _riccati(
+            "problem is not stabilizable", self.A, self.B, self.Q, self.R))
 
     def closed_loop(self, K) -> np.ndarray:
         return self.A - self.B @ np.atleast_2d(np.asarray(K, dtype=float))
@@ -408,37 +433,33 @@ def lqr_cost_grad(prob: LqrProblem, K) -> tuple[float, np.ndarray]:
 
 def lqr_optimal(prob: LqrProblem) -> tuple[np.ndarray, float]:
     """Riccati gain K* = R^-1 B^T P* and its cost."""
-    P = solvers.care(prob.A, prob.B, prob.Q, prob.R).solution
+    P = prob.riccati.solution
     K = np.linalg.solve(prob.R, prob.B.T @ P)
     cost, _ = lqr_cost_grad(prob, K)
     return K, cost
 
 
 def lqr_gradient_descent(
-    prob: LqrProblem,
-    K0,
-    step: float = 0.1,
-    iters: int = 5000,
-    gap_tol: float = 1e-8,
-    max_halvings: int = 40,
+    prob: LqrProblem, K0, iters: int = 5000
 ) -> tuple[np.ndarray, list[float]]:
-    """Gradient descent with a per-update backtracking step.
+    """Gradient descent with a per-update backtracking step from LQR_STEP.
 
     An update that destabilizes the loop or increases the cost is retried
-    with a halved step; a clean success lets the step grow back.  Stops on
-    the stationarity gap ||R K - B^T P_K|| (relative to the gain scale),
-    which certifies optimality directly, rather than on the gradient norm,
-    which can be small while the gap is not.
+    with a halved step, and the descent ends after LQR_MAX_HALVINGS failed
+    tries; a clean success lets the step grow back.  Stops on the
+    stationarity gap ||R K - B^T P_K|| (LQR_GAP_TOL relative to the gain
+    scale), which certifies optimality directly, rather than on the
+    gradient norm, which can be small while the gap is not.
     """
     K = np.atleast_2d(np.asarray(K0, dtype=float))
     cost, gap, Sigma, _ = lqr_terms(prob, K)
     history = [cost]
-    eta = step
+    eta = LQR_STEP
     best = (np.linalg.norm(gap, "fro"), K)
 
     def converged(gap, K):
         scale = 1.0 + np.linalg.norm(prob.R @ K, "fro")
-        return np.linalg.norm(gap, "fro") <= gap_tol * scale
+        return np.linalg.norm(gap, "fro") <= LQR_GAP_TOL * scale
 
     for _ in range(iters):
         if converged(gap, K):
@@ -449,7 +470,7 @@ def lqr_gradient_descent(
         # resolution while the Lyapunov-based gradient stays accurate, so
         # steps are accepted up to the evaluation noise floor.
         floor = 1e-14 * (1.0 + abs(cost))
-        for _ in range(max_halvings):
+        for _ in range(LQR_MAX_HALVINGS):
             cand = K - eta * grad
             try:
                 cand_cost, cand_gap, cand_Sigma, _ = lqr_terms(prob, cand)
@@ -467,7 +488,7 @@ def lqr_gradient_descent(
         if not halved:
             # backtracking makes an aggressive cap safe; narrow valleys need
             # steps far beyond the nominal one
-            eta = min(eta * 2.0, 1e8 * step)
+            eta = min(eta * 2.0, 1e8 * LQR_STEP)
         gap_norm = np.linalg.norm(gap, "fro")
         if gap_norm < best[0]:
             best = (gap_norm, K)

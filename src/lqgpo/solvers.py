@@ -19,6 +19,10 @@ from .errors import DimensionError, SolverError
 
 # Stability margin: eigenvalues must satisfy Re(lambda) < -EPS_STAB.
 EPS_STAB = 1e-9
+# psd_sqrt zeroes eigenvalues below PSD_CLIP times the largest (at least 1).
+PSD_CLIP = 1e-12
+# Newton-Kleinman polishing steps allowed after care's Schur-method seed.
+MAX_NEWTON = 50
 
 
 @dataclass(frozen=True)
@@ -129,17 +133,17 @@ def solve(
     return SolveReport(X, float(residual))
 
 
-def psd_sqrt(M, clip: float = 1e-12) -> np.ndarray:
+def psd_sqrt(M) -> np.ndarray:
     """Symmetric PSD principal square root via eigendecomposition.
 
-    Eigenvalues below `clip` (relative) are treated as round-off and set to
+    Eigenvalues below PSD_CLIP (relative) are treated as round-off and set to
     zero before taking the root.
     """
     M = _square(M, "M")
     if M.size == 0:
         return M
     w, V = np.linalg.eigh(0.5 * (M + M.T))
-    w = np.where(w > clip * max(1.0, abs(w).max()), w, 0.0)
+    w = np.where(w > PSD_CLIP * max(1.0, abs(w).max()), w, 0.0)
     return (V * np.sqrt(w)) @ V.T
 
 
@@ -165,12 +169,12 @@ def _care_residual(A, B, Qw, Rinv_Bt, P):
     return A.T @ P + P @ A - P @ B @ Rinv_Bt @ P + Qw
 
 
-def care(A, B, Qw, Rw, max_newton: int = 50) -> SolveReport:
+def care(A, B, Qw, Rw) -> SolveReport:
     """Stabilizing solution of A^T P + P A - P B Rw^-1 B^T P + Qw = 0.
 
-    A Schur-method solve provides the seed; Newton-Kleinman iterations
-    (each a Lyapunov solve at the current closed loop) polish the residual
-    below 1e-10 relative.  Fails with a diagnostic when the data is not
+    A Schur-method solve provides the seed; up to MAX_NEWTON Newton-Kleinman
+    iterations (each a Lyapunov solve at the current closed loop) polish the
+    residual below 1e-10 relative.  Fails with a diagnostic when the data is not
     stabilizable/detectable or the closed loop does not come out stable.
     """
     A = _square(A, "A")
@@ -197,7 +201,7 @@ def care(A, B, Qw, Rw, max_newton: int = 50) -> SolveReport:
         )
 
     res = np.linalg.norm(_care_residual(A, B, Qw, Rinv_Bt, P), "fro")
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         if res <= 1e-10 * scale(P):
             break
         K = Rinv_Bt @ P

@@ -27,6 +27,8 @@ from .solvers import EPS_STAB
 EPS_SPLIT = 1e-8
 # Default relative Hankel singular value threshold for minreal.
 MINREAL_TOL = 1e-8
+# Hankel threshold of the minimal entry realization in ss_entry_to_rational.
+ENTRY_TOL = 1e-10
 # hinf_norm_est's relative accuracy: its value lies within a factor
 # 1 + 2 HINF_TOL above the H-infinity norm whenever its axis test decides.
 HINF_TOL = 1e-10
@@ -88,8 +90,8 @@ class StateSpace:
     def poles(self) -> np.ndarray:
         return np.linalg.eigvals(self.A) if self.n_states else np.zeros(0, complex)
 
-    def is_stable(self, eps: float = EPS_STAB) -> bool:
-        return solvers.is_stable(self.A, eps)
+    def is_stable(self) -> bool:
+        return solvers.is_stable(self.A, EPS_STAB)
 
     def is_strictly_proper(self) -> bool:
         return not np.any(self.D)
@@ -191,13 +193,11 @@ def freq_response(g: StateSpace, omega: float) -> np.ndarray:
     return g.C @ X + g.D
 
 
-def stable_antistable_split(
-    g: StateSpace, eps_split: float = EPS_SPLIT
-) -> tuple[StateSpace, StateSpace]:
+def stable_antistable_split(g: StateSpace) -> tuple[StateSpace, StateSpace]:
     """Additive decomposition G = G_stable + G_anti.
 
     The anti-stable term is strictly proper; the feedthrough D stays with
-    the stable term.  Requires no eigenvalue within eps_split of the axis.
+    the stable term.  Requires no eigenvalue within EPS_SPLIT of the axis.
     """
     n = g.n_states
     if n == 0:
@@ -205,8 +205,8 @@ def stable_antistable_split(
     # T = Z^T A Z with the first k states spanning the stable subspace.
     form, k = solvers.stable_first_form(g.A)
     worst = form.eigs[np.argmin(np.abs(form.eigs.real))]
-    if abs(worst.real) <= eps_split:
-        raise AxisPoleError(f"eigenvalue {worst} within {eps_split} of the imaginary axis")
+    if abs(worst.real) <= EPS_SPLIT:
+        raise AxisPoleError(f"eigenvalue {worst} within {EPS_SPLIT} of the imaginary axis")
     T, Z = form.T, form.Z
     Bz = Z.T @ g.B
     Cz = g.C @ Z
@@ -221,19 +221,19 @@ def stable_antistable_split(
     return stable, anti
 
 
-def stable_projection(g: StateSpace, eps_split: float = EPS_SPLIT) -> StateSpace:
+def stable_projection(g: StateSpace) -> StateSpace:
     """The stable term of the unique stable/anti-stable decomposition."""
-    return stable_antistable_split(g, eps_split)[0]
+    return stable_antistable_split(g)[0]
 
 
-def stable_residue_sum(g: StateSpace, eps_split: float = EPS_SPLIT) -> np.ndarray:
+def stable_residue_sum(g: StateSpace) -> np.ndarray:
     """Sum of the matrix residues of a strictly proper G at its stable poles.
 
     Equals C_s B_s for the stable subsystem of the additive decomposition.
     """
     if np.any(g.D):
         raise ValueError("stable_residue_sum requires a strictly proper system")
-    stable, _ = stable_antistable_split(g, eps_split)
+    stable, _ = stable_antistable_split(g)
     if stable.n_states == 0:
         return np.zeros((g.n_outputs, g.n_inputs))
     return stable.C @ stable.B
@@ -443,20 +443,16 @@ class RationalScalar:
         ) / np.polynomial.polynomial.polyval(s, self.den)
 
 
-def ss_entry_to_rational(
-    g: StateSpace, i: int, j: int, tol: float = 1e-10
-) -> RationalScalar | None:
+def ss_entry_to_rational(g: StateSpace, i: int, j: int) -> RationalScalar | None:
     """Exact minimal rational form of one transfer-matrix entry.
 
-    The entry subsystem is reduced to a minimal realization; the denominator
-    is its characteristic polynomial and the numerator is recovered by
-    interpolation at pole-free real points.  Returns None for a structurally
-    zero entry.
+    The entry subsystem is reduced to a minimal realization (Hankel threshold
+    ENTRY_TOL); the denominator is its characteristic polynomial and the
+    numerator is recovered by interpolation at pole-free real points.
+    Returns None for a structurally zero entry.
     """
-    sub = minreal(
-        StateSpace(g.A, g.B[:, j : j + 1], g.C[i : i + 1, :], g.D[i : i + 1, j : j + 1]),
-        tol,
-    )
+    entry = StateSpace(g.A, g.B[:, j : j + 1], g.C[i : i + 1, :], g.D[i : i + 1, j : j + 1])
+    sub = minreal(entry, ENTRY_TOL)
     n = sub.n_states
     if n == 0:
         if abs(sub.D[0, 0]) == 0.0:

@@ -22,9 +22,11 @@ from .solvers import schur_form
 from .ss import RationalScalar, StateSpace, freq_response, h2_inner, parallel, scaled
 from .youla import NominalLft, YoulaIterate, lifted_cost
 
-# Sampled responses uniformly below this (relative to the excitation
-# amplitude) are declared structurally zero channels.
+# Sampled responses uniformly below this are declared structurally zero
+# channels.
 STRUCTURAL_ZERO_TOL = 1e-10
+# Amplitude of the cost probes along each Laguerre direction.
+PROBE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -198,29 +200,21 @@ def fit_rational(samples: list[FreqSample], num_deg: int, den_deg: int) -> Ratio
 
 
 def identify_m22(
-    g: StateSpace,
-    grid,
-    degrees,
-    mode: str = "direct",
-    c_omega: float = 1.0,
-    zero_tol: float = STRUCTURAL_ZERO_TOL,
-    sine_kwargs: dict | None = None,
+    g: StateSpace, grid, degrees, mode: str = "direct"
 ) -> list[list[RationalScalar | None]]:
     """Fit every entry of a transfer matrix individually.
 
     `degrees` is either one (num_deg, den_deg) pair for all entries or a
-    dict keyed by (i, j).  Entries whose sampled response stays below
-    zero_tol * c_omega across the grid are reported as structurally zero
-    (None) and skipped.
+    dict keyed by (i, j).  In mode "sine" the responses come from
+    `sine_response` at unit amplitude.  Entries whose sampled response stays
+    below STRUCTURAL_ZERO_TOL across the grid are reported as structurally
+    zero (None) and skipped.
     """
     grid = np.asarray(list(grid), dtype=float)
     if mode == "direct":
         responses = np.array([freq_response(g, w) for w in grid])
     elif mode == "sine":
-        kwargs = sine_kwargs or {}
-        responses = np.array(
-            [sine_response(g, w, c_omega=c_omega, **kwargs) for w in grid]
-        )
+        responses = np.array([sine_response(g, w) for w in grid])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     result: list[list[RationalScalar | None]] = []
@@ -228,7 +222,7 @@ def identify_m22(
         row: list[RationalScalar | None] = []
         for j in range(g.n_inputs):
             values = responses[:, i, j]
-            if np.max(np.abs(values)) < zero_tol * c_omega:
+            if np.max(np.abs(values)) < STRUCTURAL_ZERO_TOL:
                 row.append(None)
                 continue
             n1, n2 = degrees[(i, j)] if isinstance(degrees, dict) else degrees
@@ -317,16 +311,14 @@ def laguerre_reconstruct(coeffs: np.ndarray, basis: LaguerreBasis) -> StateSpace
 
 
 def laguerre_coeffs_zeroth(
-    nom: NominalLft,
-    it: YoulaIterate,
-    basis: LaguerreBasis,
-    c_step: float = 1e-5,
+    nom: NominalLft, it: YoulaIterate, basis: LaguerreBasis
 ) -> np.ndarray:
     """Expansion coefficients of the sensitivity system from cost probes.
 
     Each coefficient is the symmetric difference quotient of the lifted cost
-    along the matching basis direction, (J(+c) - J(-c)) / (4c); the factor
-    accounts for the derivative carrying twice the sensitivity system.
+    along the matching basis direction, (J(+c) - J(-c)) / (4c) with
+    c = PROBE_STEP; the factor accounts for the derivative carrying twice the
+    sensitivity system.
     """
     rows, cols = nom.q_rows, nom.q_cols
     out = np.zeros((rows, cols, basis.order + 1))
@@ -340,14 +332,14 @@ def laguerre_coeffs_zeroth(
                 C_emb[i, :] = phi.C[0, :]
                 direction = StateSpace(phi.A, B_emb, C_emb, np.zeros((rows, cols)))
                 plus = YoulaIterate(
-                    parallel(it.Q_dyn, scaled(direction, c_step), 1), it.Q_stat
+                    parallel(it.Q_dyn, scaled(direction, PROBE_STEP), 1), it.Q_stat
                 )
                 minus = YoulaIterate(
-                    parallel(it.Q_dyn, scaled(direction, -c_step), 1), it.Q_stat
+                    parallel(it.Q_dyn, scaled(direction, -PROBE_STEP), 1), it.Q_stat
                 )
                 out[i, j, k] = (
                     lifted_cost(nom, plus) - lifted_cost(nom, minus)
-                ) / (4.0 * c_step)
+                ) / (4.0 * PROBE_STEP)
     return out
 
 

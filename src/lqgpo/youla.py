@@ -21,10 +21,11 @@ scaling.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +52,19 @@ from .ss import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TRUNC_TOL = 1e-9
+# Relative Hankel singular-value threshold of every truncation in the lifted
+# descent: the reduced weights, the sensitivity system and each iterate.
+TRUNC_TOL = 1e-9
 
 
-def _truncate_stable(g: StateSpace, tol: float) -> StateSpace:
+def _truncate_stable(g: StateSpace) -> StateSpace:
     """Balanced truncation that never trades strict stability for order.
 
     The inputs here are stable by construction; if round-off in the reduced
     realization leaves an eigenvalue at the stability margin, keep the
     unreduced system for this step instead.
     """
-    red = minreal(g, tol)
+    red = minreal(g, TRUNC_TOL)
     if red.n_states == 0 or red.is_stable():
         return red
     logger.debug("discarding marginal truncation (%d states kept)", red.n_states)
@@ -87,9 +90,13 @@ class NominalLft:
     M22: StateSpace
     G0: StateSpace
     base_cost: float
-    # reduced weights (M12~ M12, M21 M21~) by truncation tolerance, built on
-    # the first `sensitivity` call that needs them
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def _weights(self) -> tuple[StateSpace, StateSpace]:
+        # the reduced weights (M12~ M12, M21 M21~), built on the first
+        # `sensitivity` call
+        return (minreal(series(para_conjugate(self.M12), self.M12), TRUNC_TOL),
+                minreal(series(self.M21, para_conjugate(self.M21)), TRUNC_TOL))
 
     @property
     def q_rows(self) -> int:
@@ -198,38 +205,29 @@ def norm_u(a: tuple[StateSpace, np.ndarray]) -> float:
     return float(np.sqrt(max(h2_norm_sq(g) if g.n_states else 0.0, 0.0) + np.sum(m * m)))
 
 
-def sensitivity(
-    nom: NominalLft, it: YoulaIterate, trunc_tol: float = DEFAULT_TRUNC_TOL
-) -> StateSpace:
+def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     """The stable sensitivity system S at the given iterate.
 
     S = stable part of  G0 + M12~ M12 (Q_dyn + Q_stat) M21 M21~, reduced by
     balanced truncation.  The para-conjugate products are formed pairwise
     with intermediate truncation to cap the state dimension; the two
-    iterate-independent products are reduced once per nominal and tolerance.
+    iterate-independent products are reduced once per nominal.
     """
     it.validate(nom)
-    if trunc_tol not in nom._weights:
-        nom._weights[trunc_tol] = (
-            minreal(series(para_conjugate(nom.M12), nom.M12), trunc_tol),
-            minreal(series(nom.M21, para_conjugate(nom.M21)), trunc_tol),
-        )
-    left, right = nom._weights[trunc_tol]
+    left, right = nom._weights
     mid = series(left, series(it.combined(), right))
     total = parallel(nom.G0, mid, 1)
     S = stable_projection(total)
     # The mask kills the feedthrough chain exactly; clear round-off and keep
     # the result strictly proper.
     S = S.with_feedthrough(np.zeros((S.n_outputs, S.n_inputs)))
-    return _truncate_stable(S, trunc_tol)
+    return _truncate_stable(S)
 
 
-def frechet_gradient(
-    nom: NominalLft, it: YoulaIterate, trunc_tol: float = DEFAULT_TRUNC_TOL
-) -> tuple[StateSpace, np.ndarray]:
+def frechet_gradient(nom: NominalLft, it: YoulaIterate) -> tuple[StateSpace, np.ndarray]:
     """Gradient carrier (S, masked residue of S); the true Frechet derivative
     is twice this pair."""
-    S = sensitivity(nom, it, trunc_tol)
+    S = sensitivity(nom, it)
     res = (
         stable_residue_sum(S)
         if S.n_states
@@ -310,7 +308,6 @@ def run_lifted_gradient_descent(
     nom: NominalLft,
     eta: float | None = None,
     iters: int = 14,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> tuple[list[IterateRecord], YoulaIterate]:
     """Fixed-step descent on the lifted cost from the zero iterate.
 
@@ -319,13 +316,10 @@ def run_lifted_gradient_descent(
     from Q_stat.  Records cost, gradient norm, and the dynamic order at
     every iterate including the final one.  With eta None the step is
     min(0.1, 1.9 / L) for the bound L of `estimate_smoothness`.  Raises
-    ValueError unless a given eta is positive and finite and the truncation
-    tolerance is finite with 0 <= trunc_tol < 1.
+    ValueError unless a given eta is positive and finite.
     """
     if eta is not None and not 0 < eta < math.inf:
         raise ValueError(f"step size must be positive and finite, got {eta}")
-    if not 0 <= trunc_tol < 1:
-        raise ValueError(f"truncation tolerance must satisfy 0 <= trunc_tol < 1, got {trunc_tol}")
     L_hat = estimate_smoothness(nom)
     if eta is None:
         eta = min(0.1, 1.9 / L_hat) if L_hat > 0 else 0.1
@@ -337,7 +331,7 @@ def run_lifted_gradient_descent(
     records: list[IterateRecord] = []
     t0 = time.perf_counter()
     for k in range(iters + 1):
-        S, res_mask = frechet_gradient(nom, it, trunc_tol)
+        S, res_mask = frechet_gradient(nom, it)
         cost = lifted_cost(nom, it)
         gnorm = norm_u((S, res_mask))
         records.append(
@@ -345,7 +339,7 @@ def run_lifted_gradient_descent(
         )
         if k == iters:
             break
-        q_next = _truncate_stable(parallel(it.Q_dyn, scaled(S, eta), -1), trunc_tol)
+        q_next = _truncate_stable(parallel(it.Q_dyn, scaled(S, eta), -1))
         q_next = q_next.with_feedthrough(np.zeros((q_next.n_outputs, q_next.n_inputs)))
         it = YoulaIterate(q_next, it.Q_stat - eta * res_mask)
         it.validate(nom)

@@ -27,6 +27,11 @@ def io_dir(tmp_path):
     ctrl.write_text(json.dumps(stationary_controller().to_dict()))
     ctrl2 = tmp_path / "ctrl_ex2.json"
     ctrl2.write_text(json.dumps(example2_controller().to_dict()))
+    # the unstable mode at s = 1 is not controllable
+    (tmp_path / "unstabilizable.json").write_text(json.dumps({
+        "A": [[1.0, 0.0], [0.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 1.0]],
+        "Q": np.eye(2).tolist(), "R": [[1.0]], "W": np.eye(2).tolist(), "V": [[1.0]],
+    }))
     return tmp_path
 
 
@@ -175,8 +180,8 @@ class TestExitCodes:
         ["certify", "--tol-markov", "nan"],
         ["certify", "--tol-markov", "-1"],
         ["certify", "--tol-grad", "nan"],
-        ["optimize", "--trunc-tol", "nan"],
-        ["optimize", "--trunc-tol", "2"],
+        ["solve-lqg", "--plant", "unstabilizable.json"],
+        ["certify", "--plant", "unstabilizable.json"],
         ["pg", "--step", "-1"],
         ["pg", "--step", "0"],
         ["estimate-residue", "--radius", "nan"],
@@ -185,12 +190,16 @@ class TestExitCodes:
     ])
     def test_out_of_range_input_exits_2(self, runner, io_dir, args):
         out = io_dir / "out.csv"
+        if args[0] == "solve-lqg":
+            files = ["--out-controller", str(out)]
+        else:
+            files = ["--controller", str(io_dir / "ctrl_ex2.json"), "--out", str(out)]
+        # a later --plant overrides the default one
+        options = [str(io_dir / a) if a.endswith(".json") else a for a in args[1:]]
         result = runner.invoke(
-            main, [args[0], "--plant", str(io_dir / "plant.json"),
-                   "--controller", str(io_dir / "ctrl_ex2.json"),
-                   "--out", str(out), *args[1:]],
+            main, [args[0], "--plant", str(io_dir / "plant.json"), *files, *options],
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 2, result.output
         assert not out.exists()
 
     def test_linalg_error_exits_3(self, runner, io_dir, monkeypatch):

@@ -283,10 +283,7 @@ class TestIdentify:
         g = lag_half()
         grid = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
         direct = identify_m22(g, grid, (0, 1), mode="direct")[0][0]
-        sine = identify_m22(
-            g, grid, (0, 1), mode="sine",
-            sine_kwargs={"settle_cycles": 10, "sample_cycles": 5},
-        )[0][0]
+        sine = identify_m22(g, grid, (0, 1), mode="sine")[0][0]
         assert np.abs(direct.num - sine.num).max() <= 1e-3
         assert np.abs(direct.den - sine.den).max() <= 1e-3
 

@@ -272,9 +272,6 @@ class TestDescentRun:
         assert len(reduced) == 2 * iters + 1
         assert [r.cost for r in again] == [r.cost for r in first]
         assert [r.q_dyn_order for r in again] == [r.q_dyn_order for r in first]
-        reduced.clear()
-        run_lifted_gradient_descent(nom, eta=0.1, iters=iters, trunc_tol=1e-8)
-        assert len(reduced) == 2 * iters + 1 + 2
 
 
 class TestReconstruction:
