@@ -217,8 +217,7 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
               rec.q_dyn_order, rec.wall_time * 1e3] for rec in records],
         )
         if save_path:
-            ctrl_out = ctrl0 if iters == 0 else assemble_controller(
-                ctrl0, reconstruct_controller_delta(nom, final_it))
+            ctrl_out = assemble_controller(ctrl0, reconstruct_controller_delta(nom, final_it))
             _write_json(save_path, ctrl_out.to_dict())
         final = records[-1].cost
         click.echo(json.dumps({"final_cost": final, "rel_error": (final - jstar) / jstar},

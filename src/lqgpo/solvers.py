@@ -1,11 +1,13 @@
-"""Dense Lyapunov, Sylvester and continuous-time Riccati solvers, and the
-stability test: the one module that factors a matrix for an equation or a
-stability decision.  Sized for desk-scale problems (state dimension well
-under 50).  A matrix is factored once, into its real Schur form, which gives
-its eigenvalues and serves every equation on it; every Lyapunov and
-Sylvester solve is one Bartels-Stewart routine (`solve`) that refuses
-near-singular equations and certifies its result by an independently
-recomputed residual.  Riccati solutions are polished by Newton-Kleinman."""
+"""Dense Lyapunov, Sylvester and continuous-time Riccati solvers: the one
+module that factors a matrix for an equation or a stability decision.  Sized
+for desk-scale problems (state dimension well under 50).  A matrix is
+factored once, into its real Schur form (`schur_form`), which gives its
+eigenvalues, decides its stability (`SchurForm.is_stable`) and serves every
+equation on it; a `StateSpace` keeps its form, and callers holding a raw
+matrix factor it here.  Every Lyapunov and Sylvester solve is one
+Bartels-Stewart routine (`solve`) that refuses near-singular equations and
+certifies its result by an independently recomputed residual.  Riccati
+solutions are polished by Newton-Kleinman."""
 
 from __future__ import annotations
 
@@ -61,6 +63,8 @@ def _form(A, T, Z):
     re = 0.5 * (a + d)
     im = np.sqrt(np.maximum(-b * c - 0.25 * (a - d) ** 2, 0.0))
     eigs[k], eigs[k + 1] = re + 1j * im, re - 1j * im
+    for arr in (T, Z, eigs):
+        arr.setflags(write=False)
     return SchurForm(A, T, Z, eigs)
 
 
@@ -85,11 +89,6 @@ def decoupling(form: SchurForm, k: int) -> np.ndarray:
     lead, trail, eye = form.T[:k, :k], -form.T[k:, k:], np.eye(form.T.shape[0])
     return solve(SchurForm(lead, lead, eye[:k, :k], form.eigs[:k]),
                  SchurForm(trail, trail, eye[k:, k:], -form.eigs[k:]), form.T[:k, k:]).solution
-
-
-def is_stable(A, eps: float = EPS_STAB) -> bool:
-    """Every eigenvalue of the square matrix A has Re(lambda) < -eps."""
-    return A.size == 0 or bool(np.all(np.linalg.eigvals(A).real < -eps))
 
 
 def solve(
@@ -212,7 +211,7 @@ def care(A, B, Qw, Rw) -> SolveReport:
         res = np.linalg.norm(_care_residual(A, B, Qw, Rinv_Bt, P), "fro")
     if res > 1e-8 * scale(P):
         raise SolverError(f"Riccati residual {res:.3e} not certified")
-    if not is_stable(A - B @ (Rinv_Bt @ P), 0.0):
+    if not schur_form(A - B @ (Rinv_Bt @ P)).is_stable(0.0):
         raise SolverError(
             "Riccati solution is not stabilizing; check stabilizability/detectability"
         )

@@ -10,18 +10,21 @@ iteration, balanced-truncation minimal realizations, and conversion from
 scalar rational functions.
 
 All operations are pure; `StateSpace` values are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  A system's real Schur form
+(`StateSpace.form`) is computed on first use and kept with it; every
+stability decision, pole, Gramian and H2 value of the system reads that one
+form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import solvers
 from .errors import AxisPoleError, DimensionError, UnstableError
-from .solvers import EPS_STAB
 # Minimum distance of eigenvalues from the imaginary axis for the
 # stable/anti-stable split to be well posed.
 EPS_SPLIT = 1e-8
@@ -87,11 +90,17 @@ class StateSpace:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
+    @functools.cached_property
+    def form(self) -> solvers.SchurForm:
+        # the one real Schur form of A, built on first use; a pure function
+        # of the read-only A, so concurrent first use only computes it twice
+        return solvers.schur_form(self.A)
+
     def poles(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A) if self.n_states else np.zeros(0, complex)
+        return self.form.eigs
 
     def is_stable(self) -> bool:
-        return solvers.is_stable(self.A, EPS_STAB)
+        return self.form.is_stable()
 
     def is_strictly_proper(self) -> bool:
         return not np.any(self.D)
@@ -239,37 +248,28 @@ def stable_residue_sum(g: StateSpace) -> np.ndarray:
     return stable.C @ stable.B
 
 
-def _ctrb(g, form):
-    return solvers.solve(form, form, g.B @ g.B.T, trans_b=True).solution
-
-
-def _obsv(g, form):
-    return solvers.solve(form, form, g.C.T @ g.C, trans_a=True).solution
-
-
 def gramian_ctrb(g: StateSpace) -> np.ndarray:
     """Controllability Gramian P of a stable system: A P + P A^T + B B^T = 0."""
-    return _ctrb(g, solvers.schur_form(g.A))
+    return solvers.solve(g.form, g.form, g.B @ g.B.T, trans_b=True).solution
 
 
 def gramian_obsv(g: StateSpace) -> np.ndarray:
     """Observability Gramian X of a stable system: A^T X + X A + C^T C = 0."""
-    return _obsv(g, solvers.schur_form(g.A))
+    return solvers.solve(g.form, g.form, g.C.T @ g.C, trans_a=True).solution
 
 
-def _h2_form(g, what):
-    """Schur form of A for a stable strictly proper system."""
+def _check_h2(g, what):
+    """Raise unless g is stable and strictly proper."""
     if not g.is_strictly_proper():
         raise ValueError(f"{what} requires a strictly proper system")
-    form = solvers.schur_form(g.A)
-    if not form.is_stable():
+    if not g.is_stable():
         raise UnstableError(f"{what} requires a stable system")
-    return form
 
 
 def h2_norm_sq(g: StateSpace) -> float:
     """Squared H2 norm tr(B^T X B) with X the observability Gramian."""
-    X = _obsv(g, _h2_form(g, "h2_norm_sq"))
+    _check_h2(g, "h2_norm_sq")
+    X = gramian_obsv(g)
     return float(max(np.trace(g.B.T @ X @ g.B), 0.0))
 
 
@@ -282,8 +282,9 @@ def h2_inner(g: StateSpace, h: StateSpace) -> float:
     """
     if (g.n_inputs, g.n_outputs) != (h.n_inputs, h.n_outputs):
         raise DimensionError("h2_inner requires matching dimensions")
-    fg, fh = _h2_form(g, "h2_inner"), _h2_form(h, "h2_inner")
-    Y = solvers.solve(fg, fh, g.C.T @ h.C, trans_a=True).solution
+    _check_h2(g, "h2_inner")
+    _check_h2(h, "h2_inner")
+    Y = solvers.solve(g.form, h.form, g.C.T @ h.C, trans_a=True).solution
     return float(np.trace(g.B.T @ Y @ h.B))
 
 
@@ -302,12 +303,11 @@ def _psd_factor(M):
     return V[:, keep] * np.sqrt(w[keep])
 
 
-def _balanced_truncation_stable(g: StateSpace, tol: float, form=None) -> StateSpace:
+def _balanced_truncation_stable(g: StateSpace, tol: float) -> StateSpace:
     """Square-root balanced truncation of a stable system."""
     if g.n_states == 0:
         return g
-    form = form or solvers.schur_form(g.A)
-    Lc, Lo = _psd_factor(_ctrb(g, form)), _psd_factor(_obsv(g, form))
+    Lc, Lo = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
     if Lc.shape[1] == 0 or Lo.shape[1] == 0:
         return zero_system(g.n_outputs, g.n_inputs).with_feedthrough(g.D)
     U, sv, Vt = np.linalg.svd(Lo.T @ Lc, full_matrices=False)
@@ -331,11 +331,8 @@ def minreal(g: StateSpace, tol: float = MINREAL_TOL) -> StateSpace:
     stable and anti-stable parts are reduced separately (the anti-stable part
     via its mirror image) and re-joined.
     """
-    if g.n_states == 0:
-        return g
-    form = solvers.schur_form(g.A)
-    if form.is_stable(EPS_SPLIT):
-        return _balanced_truncation_stable(g, tol, form)
+    if g.form.is_stable(EPS_SPLIT):
+        return _balanced_truncation_stable(g, tol)
     stable, anti = stable_antistable_split(g)
     red_s = _balanced_truncation_stable(stable, tol)
     red_a = _mirror(_balanced_truncation_stable(_mirror(anti), tol))
@@ -381,10 +378,9 @@ def hinf_norm_est(g: StateSpace) -> float:
     1984; Glover 1984) is returned instead.  Raises UnstableError for an
     unstable system.
     """
-    form = solvers.schur_form(g.A)
-    if not form.is_stable():
+    if not g.is_stable():
         raise UnstableError("hinf_norm_est requires a stable system")
-    poles = form.eigs
+    poles = g.poles()
     probes = [0.0]
     if poles.size:
         probes.append(abs(poles[np.argmax(np.abs(poles.imag) / np.abs(poles))]))
@@ -398,7 +394,7 @@ def hinf_norm_est(g: StateSpace) -> float:
         if not peak > lb:
             break
         lb = peak
-    Lc, Lo = _psd_factor(_ctrb(g, form)), _psd_factor(_obsv(g, form))
+    Lc, Lo = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
     hankel = np.linalg.svd(Lo.T @ Lc, compute_uv=False)
     return float(np.linalg.norm(g.D, 2) + 2.0 * hankel.sum())
 
@@ -461,7 +457,7 @@ def ss_entry_to_rational(g: StateSpace, i: int, j: int) -> RationalScalar | None
     den_desc = np.poly(sub.A)  # monic, descending powers
     den = den_desc[::-1]
     n_num = n if np.any(sub.D) else n - 1
-    radius = 1.0 + np.abs(np.linalg.eigvals(sub.A)).max()
+    radius = 1.0 + np.abs(sub.poles()).max()
     points = radius * (1.0 + np.arange(n_num + 1))
     den_vals = np.polynomial.polynomial.polyval(points, den)
     g_vals = np.array(

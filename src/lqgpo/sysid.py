@@ -40,8 +40,8 @@ class FreqSample:
     def __post_init__(self):
         if not self.omega > 0:
             raise ValueError("omega must be positive")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"weight must be positive and finite, got {self.weight}")
         object.__setattr__(self, "value", np.atleast_2d(np.asarray(self.value, complex)))
 
 
@@ -84,23 +84,23 @@ def _rk4_step_ops(A, B, h):
 def sine_response(
     g: StateSpace,
     omega: float,
-    c_omega: float = 1.0,
     settle_cycles: int = 20,
     sample_cycles: int = 10,
     step: float | None = None,
 ) -> np.ndarray:
     """Estimate G(j omega) from sinusoidal excitation of every input channel.
 
-    Each input channel is driven from rest with c_omega * sin(omega t)
-    through a fixed-step classical RK4 integrator (step h = min(0.01,
-    0.05 / omega) unless given); after settle_cycles periods, and at least
-    until the slowest mode of the update M0 has decayed to rho(M0)^n <= eps,
-    the outputs are least-squares fit to alpha sin + beta cos over
-    sample_cycles periods, giving the response (alpha + j beta) / c_omega.
+    Each input channel is driven from rest with sin(omega t) through a
+    fixed-step classical RK4 integrator (step h = min(0.01, 0.05 / omega)
+    unless given); after settle_cycles periods, and at least until the
+    slowest mode of the update M0 has decayed to rho(M0)^n <= eps, the
+    outputs are least-squares fit to alpha sin + beta cos over sample_cycles
+    periods, giving the response alpha + j beta.  The system is linear and
+    starts from rest, so the estimate does not depend on the amplitude.
 
     The recursion is not stepped: with z = e^{j omega h} its update is
-    x_{k+1} = M0 x_k + c Im(z^k F), F = W1 + e^{j omega h/2} W2 + z W3, so
-    its samples are x_k = c (Im(z^k X) - M0^k Im X) with the periodic
+    x_{k+1} = M0 x_k + Im(z^k F), F = W1 + e^{j omega h/2} W2 + z W3, so
+    its samples are x_k = Im(z^k X) - M0^k Im X with the periodic
     steady state X = (zI - M0)^-1 F, all channels in one solve.  The
     steady state fits exactly, to C X + D.  The fit of the M0^k transient
     over the window of N samples from step a takes the window sum
@@ -109,13 +109,13 @@ def sine_response(
     result equals the stepped simulation's to rounding, at a cost
     independent of the number of steps.
 
-    Raises ValueError for NaN or non-positive omega, c_omega or step,
+    Raises ValueError for NaN or non-positive omega or step,
     settle_cycles < 0 or sample_cycles < 1, an unstable system, a step with
     omega h > 0.2, and a step outside RK4's stability region (spectral
     radius of M0 at least 1), where the recursion has no steady state.
     """
-    if not (omega > 0 and c_omega > 0):
-        raise ValueError("omega and c_omega must be positive")
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
     h = min(0.01, 0.05 / omega) if step is None else float(step)
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
@@ -206,9 +206,9 @@ def identify_m22(
 
     `degrees` is either one (num_deg, den_deg) pair for all entries or a
     dict keyed by (i, j).  In mode "sine" the responses come from
-    `sine_response` at unit amplitude.  Entries whose sampled response stays
-    below STRUCTURAL_ZERO_TOL across the grid are reported as structurally
-    zero (None) and skipped.
+    `sine_response`.  Entries whose sampled response stays below
+    STRUCTURAL_ZERO_TOL across the grid are reported as structurally zero
+    (None) and skipped.
     """
     grid = np.asarray(list(grid), dtype=float)
     if mode == "direct":
@@ -286,8 +286,6 @@ def laguerre_project(s_true: StateSpace, basis: LaguerreBasis) -> np.ndarray:
     for i in range(s_true.n_outputs):
         for j in range(s_true.n_inputs):
             sub = _entry_subsystem(s_true, i, j)
-            if sub.n_states == 0:
-                continue
             for k, phi in enumerate(funcs):
                 out[i, j, k] = h2_inner(sub, phi)
     return out
@@ -388,13 +386,11 @@ class ZoConfig:
 
 
 def _masked_positions(shape, mask_rows, mask_cols):
-    rows, cols = shape
-    return [
-        (i, j)
-        for i in range(rows)
-        for j in range(cols)
-        if not (i < mask_rows and j < mask_cols)
-    ]
+    """Row and column indices of the entries outside the top-left mask
+    block, in row-major order."""
+    free = np.ones(shape, dtype=bool)
+    free[:mask_rows, :mask_cols] = False
+    return np.nonzero(free)
 
 
 def zo_gradient_estimate(cost_fn, shape, mask_rows, mask_cols, cfg: ZoConfig) -> np.ndarray:
@@ -406,7 +402,7 @@ def zo_gradient_estimate(cost_fn, shape, mask_rows, mask_cols, cfg: ZoConfig) ->
     sum is accumulated in sample order, so the result is reproducible.
     """
     positions = _masked_positions(shape, mask_rows, mask_cols)
-    d = len(positions)
+    d = positions[0].size
     acc = np.zeros(shape)
     factor = d / (2.0 * cfg.radius**2)
     for i in range(cfg.samples):
@@ -414,8 +410,7 @@ def zo_gradient_estimate(cost_fn, shape, mask_rows, mask_cols, cfg: ZoConfig) ->
         v = rng.standard_normal(d)
         v *= cfg.radius / np.linalg.norm(v)
         U = np.zeros(shape)
-        for (r, c), val in zip(positions, v):
-            U[r, c] = val
+        U[positions] = v
         diff = cost_fn(U) - cost_fn(-U)
         if not np.isfinite(diff):
             raise ArithmeticError("non-finite cost probe in zeroth-order estimate")
@@ -436,19 +431,19 @@ def zo_residue_estimate(nom: NominalLft, it: YoulaIterate, cfg: ZoConfig) -> np.
     it.validate(nom)
     shape = (nom.q_rows, nom.q_cols)
     positions = _masked_positions(shape, nom.mask_rows, nom.mask_cols)
-    if not positions:
+    if not positions[0].size:
         return np.zeros(shape)
 
     def honest(U):
         return lifted_cost(nom, YoulaIterate(it.Q_dyn, it.Q_stat + U))
 
     g = np.zeros(shape)
-    probe = np.zeros(shape)
-    for pos in positions:
+    for pos in zip(*positions):
         E = np.zeros(shape)
         E[pos] = 1.0
         g[pos] = (honest(E) - honest(-E)) / 2.0
-        probe[pos] = 0.37
+    probe = np.zeros(shape)
+    probe[positions] = 0.37
     j_plus = honest(probe)
     if abs(j_plus - honest(-probe) - 2.0 * np.vdot(g, probe)) > 1e-8 * max(1.0, abs(j_plus)):
         raise ArithmeticError("odd part of the cost failed validation")

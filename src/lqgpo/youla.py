@@ -65,7 +65,7 @@ def _truncate_stable(g: StateSpace) -> StateSpace:
     unreduced system for this step instead.
     """
     red = minreal(g, TRUNC_TOL)
-    if red.n_states == 0 or red.is_stable():
+    if red.is_stable():
         return red
     logger.debug("discarding marginal truncation (%d states kept)", red.n_states)
     return g
@@ -194,15 +194,12 @@ def inner_u(a: tuple[StateSpace, np.ndarray], b: tuple[StateSpace, np.ndarray]) 
     """Inner product on the lifted space: H2 pairing plus Frobenius pairing."""
     ga, ma = a
     gb, mb = b
-    dyn = 0.0
-    if ga.n_states and gb.n_states:
-        dyn = h2_inner(ga, gb)
-    return dyn + float(np.sum(ma * mb))
+    return h2_inner(ga, gb) + float(np.sum(ma * mb))
 
 
 def norm_u(a: tuple[StateSpace, np.ndarray]) -> float:
     g, m = a
-    return float(np.sqrt(max(h2_norm_sq(g) if g.n_states else 0.0, 0.0) + np.sum(m * m)))
+    return float(np.sqrt(h2_norm_sq(g) + np.sum(m * m)))
 
 
 def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
@@ -342,7 +339,6 @@ def run_lifted_gradient_descent(
         q_next = _truncate_stable(parallel(it.Q_dyn, scaled(S, eta), -1))
         q_next = q_next.with_feedthrough(np.zeros((q_next.n_outputs, q_next.n_inputs)))
         it = YoulaIterate(q_next, it.Q_stat - eta * res_mask)
-        it.validate(nom)
     return records, it
 
 

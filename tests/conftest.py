@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lqgpo.benchmarks import (
     example1_plant,
@@ -19,6 +20,19 @@ MASTER_SEED = 20250810
 @pytest.fixture()
 def rng():
     return np.random.default_rng(MASTER_SEED)
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """Counts of scipy.linalg.schur and numpy.linalg.eigvals calls."""
+    counts = {}
+    for host, name in ((scipy.linalg, "schur"), (np.linalg, "eigvals")):
+        def counted(*args, _orig=getattr(host, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(host, name, counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

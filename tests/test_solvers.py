@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import random_spd
 from lqgpo import solvers
@@ -16,6 +15,7 @@ from lqgpo.solvers import care, lyap_ct, psd_sqrt, sylvester
 from lqgpo.ss import (
     StateSpace,
     gramian_ctrb,
+    gramian_obsv,
     h2_inner,
     h2_norm_sq,
     minreal,
@@ -142,19 +142,6 @@ def test_psd_sqrt():
     assert S2[1, 1] == 0.0
 
 
-@pytest.fixture()
-def factorizations(monkeypatch):
-    """Counts of scipy.linalg.schur and numpy.linalg.eigvals calls."""
-    counts = {}
-    for host, name in ((scipy.linalg, "schur"), (np.linalg, "eigvals")):
-        def counted(*args, _orig=getattr(host, name), _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(host, name, counted)
-    return counts
-
-
 @pytest.mark.parametrize("call", ["close_loop", "lqr_terms", "h2_norm_sq", "minreal"])
 def test_one_schur_form_per_matrix(call, plant1, ctrl_opt, factorizations):
     # close_loop and lqr_terms take the stability check, P and Sigma from one
@@ -190,6 +177,20 @@ STABLE = StateSpace([[-1.0, 1.0], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.0]], [[
 MIXED = StateSpace([[-1.0, 1.0], [0.0, 2.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
 
 
+def test_one_schur_form_per_system(factorizations):
+    # every query on a system reads the Schur form it keeps
+    g = StateSpace([[-1.0, 1.0, 0.0], [-2.0, -1.0, 0.5], [0.0, 0.3, -3.0]],
+                   [[1.0], [0.0], [1.0]], [[1.0, 0.0, 2.0]], [[0.0]])
+    factorizations.clear()
+    assert g.is_stable()
+    assert g.poles().real.max() < 0
+    gramian_ctrb(g)
+    gramian_obsv(g)
+    h2_norm_sq(g)
+    minreal(g)
+    assert factorizations == {"schur": 1}
+
+
 @pytest.mark.parametrize("call", [
     lambda: h2_norm_sq(STABLE),
     lambda: h2_inner(STABLE, STABLE),
@@ -221,5 +222,15 @@ def test_only_solvers_names_matrix_equation_solvers():
         if path.name != "solvers.py"
         for name in _names(ast.parse(path.read_text()))
         if name in ("solve_continuous_lyapunov", "solve_sylvester") or name.endswith("trsyl")
+    ]
+    assert offenders == []
+
+
+def test_no_module_names_eigvals():
+    """Every eigenvalue and stability decision comes from a Schur form."""
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "eigvals" in _names(ast.parse(path.read_text()))
     ]
     assert offenders == []
