@@ -4,7 +4,10 @@ for desk-scale problems (state dimension well under 50).  A matrix is
 factored once, into its real Schur form (`schur_form`), which gives its
 eigenvalues, decides its stability (`SchurForm.is_stable`) and serves every
 equation on it; a `StateSpace` keeps its form, and callers holding a raw
-matrix factor it here.  Every Lyapunov and Sylvester solve is one
+matrix factor it here.  A matrix already quasi-triangular (a block-triangular
+product of blocks in Schur coordinates) is its own form and is not factored,
+and a stable-first form is a reorder of a form (`stable_first_form`), not a
+second factorization.  Every Lyapunov and Sylvester solve is one
 Bartels-Stewart routine (`solve`) that refuses near-singular equations and
 certifies its result by an independently recomputed residual.  Riccati
 solutions are polished by Newton-Kleinman."""
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg.lapack import dtrsen, dtrsyl
 
 from .errors import DimensionError, SolverError
 
@@ -68,19 +71,41 @@ def _form(A, T, Z):
     return SchurForm(A, T, Z, eigs)
 
 
+def _is_quasi_triangular(A) -> bool:
+    """A has three or more rows and is in LAPACK's standardized real Schur
+    form: zero below the first subdiagonal, no two adjacent nonzero
+    subdiagonal entries, and every 2 x 2 diagonal block [[a, b], [c, a]]
+    with b c < 0."""
+    if A.shape[0] < 3 or A[-1, 0]:
+        return False  # small or dense input is rejected in O(1)
+    sub = np.diagonal(A, -1)
+    k = np.flatnonzero(sub)
+    return bool(np.isfinite(A).all() and not np.tril(A, -2).any()
+                and np.all(np.diff(k) > 1) and np.all(A[k, k] == A[k + 1, k + 1])
+                and np.all(A[k, k + 1] * sub[k] < 0))
+
+
 def schur_form(A) -> SchurForm:
-    """The real Schur form of a square matrix."""
+    """The real Schur form of a square matrix.  A matrix of three or more
+    rows already in standardized real Schur form is its own form (T = A,
+    Z = I): a block-triangular system assembled from blocks in Schur
+    coordinates is factored for free."""
     A = _square(A, "A")
     if A.size == 0:
         return SchurForm(A, A, A, np.zeros(0, complex))
+    if _is_quasi_triangular(A):
+        return _form(A, A.copy(), np.eye(A.shape[0]))
     T, Z = sla.schur(A, output="real")
     return _form(A, T, Z)
 
 
-def stable_first_form(A) -> tuple[SchurForm, int]:
-    """Real Schur form with the k eigenvalues of Re < 0 leading, and k."""
-    T, Z, k = sla.schur(A, output="real", sort="lhp")
-    return _form(A, T, Z), int(k)
+def stable_first_form(form: SchurForm) -> tuple[SchurForm, int]:
+    """The form reordered (LAPACK trsen) so that its k eigenvalues of Re < 0
+    lead, and k.  Reordering a form costs a fraction of computing one."""
+    T, Z, _, _, k, _, _, info = dtrsen(form.eigs.real < 0, form.T, form.Z, job="N")
+    if info:
+        raise SolverError("Schur form could not be reordered: eigenvalues too close")
+    return _form(form.A, T, Z), int(k)
 
 
 def decoupling(form: SchurForm, k: int) -> np.ndarray:

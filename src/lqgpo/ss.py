@@ -106,7 +106,7 @@ class StateSpace:
         return not np.any(self.D)
 
     def with_feedthrough(self, D) -> "StateSpace":
-        return StateSpace(self.A, self.B, self.C, D)
+        return _same_form(StateSpace(self.A, self.B, self.C, D), self)
 
     def to_dict(self) -> dict:
         return {
@@ -131,6 +131,13 @@ class StateSpace:
         )
 
 
+def _same_form(g: StateSpace, like: StateSpace) -> StateSpace:
+    """g, carrying the form `like` has already built for the same A."""
+    if "form" in like.__dict__:
+        g.__dict__["form"] = like.form
+    return g
+
+
 def zero_system(n_outputs: int, n_inputs: int) -> StateSpace:
     """The identically-zero transfer matrix with no states."""
     return StateSpace(
@@ -149,7 +156,7 @@ def static_gain(D) -> StateSpace:
 
 def scaled(g: StateSpace, alpha: float) -> StateSpace:
     """alpha * G(s)."""
-    return StateSpace(g.A, g.B, alpha * g.C, alpha * g.D)
+    return _same_form(StateSpace(g.A, g.B, alpha * g.C, alpha * g.D), g)
 
 
 def series(g: StateSpace, h: StateSpace) -> StateSpace:
@@ -207,12 +214,15 @@ def stable_antistable_split(g: StateSpace) -> tuple[StateSpace, StateSpace]:
 
     The anti-stable term is strictly proper; the feedthrough D stays with
     the stable term.  Requires no eigenvalue within EPS_SPLIT of the axis.
+    The system's own Schur form is reordered stable-first, and both terms
+    come out in its Schur coordinates: their A is quasi-triangular, which
+    `solvers.schur_form` takes as its own form.
     """
     n = g.n_states
     if n == 0:
         return g, zero_system(g.n_outputs, g.n_inputs)
     # T = Z^T A Z with the first k states spanning the stable subspace.
-    form, k = solvers.stable_first_form(g.A)
+    form, k = solvers.stable_first_form(g.form)
     worst = form.eigs[np.argmin(np.abs(form.eigs.real))]
     if abs(worst.real) <= EPS_SPLIT:
         raise AxisPoleError(f"eigenvalue {worst} within {EPS_SPLIT} of the imaginary axis")
@@ -443,8 +453,9 @@ def ss_entry_to_rational(g: StateSpace, i: int, j: int) -> RationalScalar | None
     """Exact minimal rational form of one transfer-matrix entry.
 
     The entry subsystem is reduced to a minimal realization (Hankel threshold
-    ENTRY_TOL); the denominator is its characteristic polynomial and the
-    numerator is recovered by interpolation at pole-free real points.
+    ENTRY_TOL); the denominator is the monic polynomial whose roots are its
+    poles (read off its Schur form) and the numerator is recovered by
+    interpolation at pole-free real points.
     Returns None for a structurally zero entry.
     """
     entry = StateSpace(g.A, g.B[:, j : j + 1], g.C[i : i + 1, :], g.D[i : i + 1, j : j + 1])
@@ -454,10 +465,10 @@ def ss_entry_to_rational(g: StateSpace, i: int, j: int) -> RationalScalar | None
         if abs(sub.D[0, 0]) == 0.0:
             return None
         return RationalScalar([sub.D[0, 0]], [1.0])
-    den_desc = np.poly(sub.A)  # monic, descending powers
-    den = den_desc[::-1]
+    poles = sub.poles()
+    den = np.poly(poles)[::-1]
     n_num = n if np.any(sub.D) else n - 1
-    radius = 1.0 + np.abs(sub.poles()).max()
+    radius = 1.0 + np.abs(poles).max()
     points = radius * (1.0 + np.arange(n_num + 1))
     den_vals = np.polynomial.polynomial.polyval(points, den)
     g_vals = np.array(

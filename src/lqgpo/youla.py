@@ -17,6 +17,13 @@ conventional controller through the inverse parameterization.
 The update uses S itself (the factor 2 of the Frechet derivative is folded
 into the step size), so a step eta corresponds to 2*eta in gradient-flow
 scaling.
+
+The products behind S and the cost are block-triangular: their diagonal
+blocks are the closed loop, the two reduced weights and Q_dyn.  The nominal
+keeps its fixed blocks in Schur coordinates and each iterate's Q_dyn is put
+in its own, so every product is quasi-triangular and is its own Schur form
+(`solvers.schur_form`); per iterate, only Q_dyn and the truncated systems
+are factored, and S's stable projection is a reorder of that form.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .certificate import build_certificate_matrices
 from .errors import DimensionError, UnstableError
 from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, performance_realization,
                    perturbation_channels)
-from .solvers import psd_sqrt
+from .solvers import SchurForm, psd_sqrt
 from .ss import (
     StateSpace,
     h2_inner,
@@ -44,8 +51,8 @@ from .ss import (
     parallel,
     scaled,
     series,
+    stable_antistable_split,
     stable_projection,
-    stable_residue_sum,
     static_gain,
     zero_system,
 )
@@ -55,6 +62,11 @@ logger = logging.getLogger(__name__)
 # Relative Hankel singular-value threshold of every truncation in the lifted
 # descent: the reduced weights, the sensitivity system and each iterate.
 TRUNC_TOL = 1e-9
+
+
+def _on_basis(g: StateSpace, form: SchurForm) -> StateSpace:
+    """g realized in the Schur coordinates of `form`, a form of g.A."""
+    return StateSpace(form.T, form.Z.T @ g.B, g.C @ form.Z, g.D)
 
 
 def _truncate_stable(g: StateSpace) -> StateSpace:
@@ -92,11 +104,20 @@ class NominalLft:
     base_cost: float
 
     @functools.cached_property
+    def _schur_blocks(self) -> tuple[StateSpace, StateSpace, StateSpace, StateSpace]:
+        # M11, M12, M21 and G0 in the Schur coordinates of Acl, from the one
+        # form `build_nominal` made for the base cost
+        form = self.M11.form
+        return tuple(_on_basis(g, form) for g in (self.M11, self.M12, self.M21, self.G0))
+
+    @functools.cached_property
     def _weights(self) -> tuple[StateSpace, StateSpace]:
         # the reduced weights (M12~ M12, M21 M21~), built on the first
-        # `sensitivity` call
-        return (minreal(series(para_conjugate(self.M12), self.M12), TRUNC_TOL),
-                minreal(series(self.M21, para_conjugate(self.M21)), TRUNC_TOL))
+        # `sensitivity` call, each as its stable and anti-stable parts in
+        # their own Schur coordinates
+        return tuple(parallel(*stable_antistable_split(minreal(w, TRUNC_TOL)))
+                     for w in (series(para_conjugate(self.M12), self.M12),
+                               series(self.M21, para_conjugate(self.M21))))
 
     @property
     def q_rows(self) -> int:
@@ -208,12 +229,15 @@ def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     S = stable part of  G0 + M12~ M12 (Q_dyn + Q_stat) M21 M21~, reduced by
     balanced truncation.  The para-conjugate products are formed pairwise
     with intermediate truncation to cap the state dimension; the two
-    iterate-independent products are reduced once per nominal.
+    iterate-independent products are reduced once per nominal.  Every block
+    is in Schur coordinates, so the stable projection reorders the sum's
+    own form and S comes out quasi-triangular.
     """
     it.validate(nom)
     left, right = nom._weights
-    mid = series(left, series(it.combined(), right))
-    total = parallel(nom.G0, mid, 1)
+    _, _, _, G0 = nom._schur_blocks
+    mid = series(left, series(_on_basis(it.combined(), it.Q_dyn.form), right))
+    total = parallel(G0, mid, 1)
     S = stable_projection(total)
     # The mask kills the feedthrough chain exactly; clear round-off and keep
     # the result strictly proper.
@@ -225,12 +249,8 @@ def frechet_gradient(nom: NominalLft, it: YoulaIterate) -> tuple[StateSpace, np.
     """Gradient carrier (S, masked residue of S); the true Frechet derivative
     is twice this pair."""
     S = sensitivity(nom, it)
-    res = (
-        stable_residue_sum(S)
-        if S.n_states
-        else np.zeros((nom.q_rows, nom.q_cols))
-    )
-    return S, mask_block(res, nom.mask_rows, nom.mask_cols)
+    # S is stable, so its residue sum is C B
+    return S, mask_block(S.C @ S.B, nom.mask_rows, nom.mask_cols)
 
 
 def lifted_cost(nom: NominalLft, it: YoulaIterate) -> float:
@@ -240,11 +260,13 @@ def lifted_cost(nom: NominalLft, it: YoulaIterate) -> float:
     would mean the mask invariant was violated and is raised as fatal.
     """
     it.validate(nom)
-    T = parallel(nom.M11, series(nom.M12, series(it.combined(), nom.M21)), 1)
+    M11, M12, M21, _ = nom._schur_blocks
+    T = parallel(M11, series(M12, series(_on_basis(it.combined(), it.Q_dyn.form), M21)), 1)
     if np.max(np.abs(T.D)) > 1e-9 * max(1.0, np.max(np.abs(it.Q_stat))):
         raise ArithmeticError("performance map is not strictly proper: mask violated")
     # T is stable by construction (block-triangular with stable diagonal
-    # blocks), so the norm is evaluated on the unreduced realization.
+    # blocks in Schur coordinates, so it is its own Schur form), and the
+    # norm is evaluated on the unreduced realization.
     T = T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs)))
     return h2_norm_sq(T)
 
@@ -336,7 +358,9 @@ def run_lifted_gradient_descent(
         )
         if k == iters:
             break
-        q_next = _truncate_stable(parallel(it.Q_dyn, scaled(S, eta), -1))
+        # both terms in their Schur coordinates: the sum is its own form
+        q_next = _truncate_stable(parallel(_on_basis(it.Q_dyn, it.Q_dyn.form),
+                                           scaled(_on_basis(S, S.form), eta), -1))
         q_next = q_next.with_feedthrough(np.zeros((q_next.n_outputs, q_next.n_inputs)))
         it = YoulaIterate(q_next, it.Q_stat - eta * res_mask)
     return records, it

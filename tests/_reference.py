@@ -1,6 +1,7 @@
-"""Frozen reference values for the built-in benchmark systems, and the
+"""Frozen reference values for the built-in benchmark systems, the
 step-by-step RK4 simulation that `sysid.sine_response` replaced by its
-closed form.
+closed form, and the lifted sensitivity and cost assembled on the nominal's
+dense realizations, which `youla` replaced by blocks in Schur coordinates.
 
 The optimal-controller matrices are two-decimal reference values; note the
 sign of the second output-gain entry is -0.22, the only sign consistent
@@ -10,6 +11,9 @@ with A_K* = A - B K - L C at the same displayed precision.
 import math
 
 import numpy as np
+
+from lqgpo.ss import h2_norm_sq, minreal, para_conjugate, parallel, series, stable_projection
+from lqgpo.youla import TRUNC_TOL
 
 # Optimal controller for the two-state benchmark plant (two decimals).
 A_K_STAR = np.array([[-1.1, 0.13], [1.19, -1.64]])
@@ -87,3 +91,22 @@ def sine_response_loop(g, omega, c_omega=1.0, settle_cycles=20, sample_cycles=10
         coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
         out[:, j] = (coef[0] + 1j * coef[1]) / c_omega
     return out
+
+
+def sensitivity_dense(nom, it):
+    """`youla.sensitivity` on the nominal's own realizations: the reduced
+    weights as `minreal` returns them, the iterate as given, and the stable
+    projection of the sum from its own (sorted) Schur form."""
+    left = minreal(series(para_conjugate(nom.M12), nom.M12), TRUNC_TOL)
+    right = minreal(series(nom.M21, para_conjugate(nom.M21)), TRUNC_TOL)
+    total = parallel(nom.G0, series(left, series(it.combined(), right)), 1)
+    S = stable_projection(total)
+    S = S.with_feedthrough(np.zeros((S.n_outputs, S.n_inputs)))
+    red = minreal(S, TRUNC_TOL)
+    return red if red.is_stable() else S
+
+
+def lifted_cost_dense(nom, it):
+    """`youla.lifted_cost` on the nominal's own realizations."""
+    T = parallel(nom.M11, series(nom.M12, series(it.combined(), nom.M21)), 1)
+    return h2_norm_sq(T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs))))

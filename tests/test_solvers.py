@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_spd
 from lqgpo import solvers
@@ -161,6 +162,45 @@ def test_one_schur_form_per_matrix(call, plant1, ctrl_opt, factorizations):
     assert factorizations == {"schur": 1}
 
 
+def test_quasi_triangular_is_its_own_form(factorizations):
+    # standardized 2x2 block (equal diagonal, b c < 0) above two real roots
+    T = np.array([[-1.0, 2.0, 0.5, 1.0],
+                  [-3.0, -1.0, 0.2, 0.0],
+                  [0.0, 0.0, -2.0, 4.0],
+                  [0.0, 0.0, 0.0, 3.0]])
+    factorizations.clear()
+    form = solvers.schur_form(T)
+    assert factorizations == {}
+    assert np.array_equal(form.T, T)
+    assert np.array_equal(form.Z, np.eye(4))
+    np.testing.assert_allclose(form.eigs, [-1 + 6**0.5 * 1j, -1 - 6**0.5 * 1j, -2, 3])
+
+
+@pytest.mark.parametrize("block", [[[1.0, 2.0], [-3.0, 4.0]], [[1.0, 2.0], [3.0, 1.0]]],
+                         ids=["unequal_diagonal", "real_eigenvalues"])
+def test_non_standard_block_is_refactored(block, factorizations):
+    A = np.zeros((4, 4))
+    A[:2, :2] = block
+    A[2:, 2:] = [[-1.0, 1.0], [0.0, -2.0]]
+    A[0, 2] = 1.0
+    factorizations.clear()
+    form = solvers.schur_form(A)
+    assert factorizations == {"schur": 1}
+    np.testing.assert_allclose(form.Z @ form.T @ form.Z.T, A, atol=1e-12)
+
+
+def test_reorder_matches_sorted_schur():
+    # reordering a matrix's form gives LAPACK's sorted Schur form bit for bit
+    rng = np.random.default_rng(5)
+    for n in (3, 8, 20, 40):
+        A = rng.normal(size=(n, n))
+        T, Z, k = scipy.linalg.schur(A, output="real", sort="lhp")
+        form, kk = solvers.stable_first_form(solvers.schur_form(A))
+        assert kk == k
+        assert np.array_equal(form.T, T)
+        assert np.array_equal(form.Z, Z)
+
+
 @pytest.fixture()
 def perturbed_trsyl(monkeypatch):
     """The layer's triangular solve, returning a solution off by 1e-6 relative."""
@@ -221,7 +261,8 @@ def test_only_solvers_names_matrix_equation_solvers():
         for path in sorted(SRC.glob("*.py"))
         if path.name != "solvers.py"
         for name in _names(ast.parse(path.read_text()))
-        if name in ("solve_continuous_lyapunov", "solve_sylvester") or name.endswith("trsyl")
+        if name in ("solve_continuous_lyapunov", "solve_sylvester")
+        or name.endswith(("trsyl", "trsen"))
     ]
     assert offenders == []
 

@@ -429,6 +429,21 @@ class TestRational:
     def test_entry_extraction_zero(self):
         assert ss_entry_to_rational(zero_system(2, 2), 0, 1) is None
 
+    def test_entry_denominator_from_the_kept_form(self, plant1, ctrl_ex2, monkeypatch):
+        # numpy.poly of a matrix would factor it again through this name
+        import numpy.lib._polynomial_impl as poly_impl
+
+        calls = []
+
+        def counted(*args, _orig=poly_impl.eigvals, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(poly_impl, "eigvals", counted)
+        M22 = build_nominal(plant1, ctrl_ex2).M22
+        assert ss_entry_to_rational(M22, 0, 0).den_degree == 3
+        assert calls == []
+
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10_000))
@@ -478,6 +493,14 @@ def test_decomposition_soundness(n, seed):
 def test_scaled_helper():
     g = scaled(lag(), 3.0)
     assert freq_response(g, 0.0)[0, 0] == pytest.approx(3.0)
+
+
+def test_same_a_keeps_the_form():
+    # with_feedthrough and scaled leave A alone, so they carry its form
+    g = random_stable_ss(np.random.default_rng(12), 4, 2, 2)
+    form = g.form
+    assert g.with_feedthrough(np.ones((2, 2))).form is form
+    assert scaled(g, -0.5).form is form
 
 
 def test_static_gain():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import random_plant, random_stabilizing_controller, random_stable_ss
-from _reference import M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0
-from lqgpo.lqg import close_loop, lqg_cost, lqg_optimal
+from conftest import (MASTER_SEED, freq_response_fast, random_plant, random_spd,
+                      random_stabilizing_controller, random_stable_ss)
+from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, lifted_cost_dense,
+                        sensitivity_dense)
+from lqgpo.lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal
 from lqgpo.solvers import psd_sqrt
 from lqgpo.ss import (
     StateSpace,
@@ -49,6 +52,27 @@ def nom_stationary(plant1, ctrl_stationary):
 @pytest.fixture(scope="module")
 def nom_opt(plant1, ctrl_opt):
     return build_nominal(plant1, ctrl_opt)
+
+
+@pytest.fixture(scope="module")
+def nom_random8():
+    # a random 8-state, 2-input, 2-output plant (A = N(0,1)/sqrt(8) - 0.8 I)
+    # at a perturbed optimal controller: a 16-state closed loop
+    rng = np.random.default_rng(MASTER_SEED)
+    n = 8
+    plant = LqgPlant(rng.normal(size=(n, n)) / np.sqrt(n) - 0.8 * np.eye(n),
+                     rng.normal(size=(n, 2)), rng.normal(size=(2, n)),
+                     random_spd(rng, n), random_spd(rng, 2), random_spd(rng, n), random_spd(rng, 2))
+    return build_nominal(plant, random_stabilizing_controller(rng, plant, spread=0.05))
+
+
+def h2_distance(g, h):
+    """||G - H||_H2 by trapezoid quadrature of the frequency responses: the
+    difference of two nearly equal systems lies below the round-off floor of
+    a Gramian of their stacked realization."""
+    omegas = np.concatenate([[0.0], np.logspace(-4, 6, 4001)])
+    diff = freq_response_fast(g, omegas) - freq_response_fast(h, omegas)
+    return np.sqrt(np.trapezoid(np.sum(np.abs(diff) ** 2, axis=(1, 2)), omegas) / np.pi)
 
 
 def rational(num, den, s):
@@ -272,6 +296,35 @@ class TestDescentRun:
         assert len(reduced) == 2 * iters + 1
         assert [r.cost for r in again] == [r.cost for r in first]
         assert [r.q_dyn_order for r in again] == [r.q_dyn_order for r in first]
+
+
+class TestSchurCoordinates:
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("which", ["ex2", "stationary", "random8"])
+    def test_matches_dense_reference(self, which, steps, request):
+        nom = request.getfixturevalue(f"nom_{which}")
+        it = run_lifted_gradient_descent(nom, iters=steps)[1]
+        S, S_ref = sensitivity(nom, it), sensitivity_dense(nom, it)
+        assert h2_distance(S, S_ref) <= 1e-8 * np.sqrt(h2_norm_sq(S_ref))
+        assert lifted_cost(nom, it) == pytest.approx(lifted_cost_dense(nom, it), rel=1e-10)
+
+    def test_factors_no_more_than_the_iterate(self, nom_random8, monkeypatch):
+        # on a warm nominal, gradient and cost factor nothing larger than
+        # Q_dyn or the returned S: every product is its own Schur form
+        it = run_lifted_gradient_descent(nom_random8, iters=3)[1]
+        q = it.Q_dyn
+        fresh = YoulaIterate(StateSpace(q.A, q.B, q.C, q.D), it.Q_stat)
+        sizes = []
+
+        def recorded(A, *args, _orig=scipy.linalg.schur, **kwargs):
+            sizes.append(A.shape[0])
+            return _orig(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", recorded)
+        S, _ = frechet_gradient(nom_random8, fresh)
+        lifted_cost(nom_random8, fresh)
+        assert sizes
+        assert max(sizes) <= max(q.n_states, S.n_states)
 
 
 class TestReconstruction:
