@@ -205,6 +205,9 @@ class ClosedLoop:
 
         Acl^T P + P Acl + Ccl^T Ccl = 0,
         Acl Sigma + Sigma Acl^T + Bcl Bcl^T = 0.
+
+    form is the real Schur form of Acl that decided stability and served
+    both solves; the lifted nominal's systems on Acl reuse it.
     """
 
     Acl: np.ndarray
@@ -214,6 +217,7 @@ class ClosedLoop:
     Sigma: np.ndarray
     n: int
     q: int
+    form: solvers.SchurForm = field(repr=False, compare=False)
 
 
 def loop_matrix(plant: LqgPlant, ctrl: DynController) -> np.ndarray:
@@ -256,7 +260,7 @@ def close_loop(plant: LqgPlant, ctrl: DynController) -> ClosedLoop:
     Ccl[n:, n:] = solvers.psd_sqrt(plant.R) @ ctrl.C_K
     P = solvers.solve(form, form, Ccl.T @ Ccl, trans_a=True).solution
     Sigma = solvers.solve(form, form, Bcl @ Bcl.T, trans_b=True).solution
-    return ClosedLoop(form.A, Bcl, Ccl, P, Sigma, n, q)
+    return ClosedLoop(form.A, Bcl, Ccl, P, Sigma, n, q, form)
 
 
 def performance_realization(cl: ClosedLoop) -> StateSpace:

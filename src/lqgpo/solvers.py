@@ -1,6 +1,6 @@
 """Dense Lyapunov, Sylvester and continuous-time Riccati solvers: the one
 module that factors a matrix for an equation or a stability decision.  Sized
-for desk-scale problems (state dimension well under 50).  A matrix is
+for desk-scale problems (a few hundred states at most).  A matrix is
 factored once, into its real Schur form (`schur_form`), which gives its
 eigenvalues, decides its stability (`SchurForm.is_stable`) and serves every
 equation on it; a `StateSpace` keeps its form, and callers holding a raw
@@ -9,8 +9,15 @@ product of blocks in Schur coordinates) is its own form and is not factored,
 and a stable-first form is a reorder of a form (`stable_first_form`), not a
 second factorization.  Every Lyapunov and Sylvester solve is one
 Bartels-Stewart routine (`solve`) that refuses near-singular equations and
-certifies its result by an independently recomputed residual.  Riccati
-solutions are polished by Newton-Kleinman."""
+certifies its result by an independently recomputed residual.  An equation
+with both sides at most LEAF states is one LAPACK trsyl call; a larger one is
+solved by recursive blocked Bartels-Stewart (Jonsson & Kagstrom, RECSY, ACM
+TOMS 2002): the larger quasi-triangular factor is cut at its middle, never
+inside a 2 x 2 block, and the halves are solved in turn with a matrix-product
+update of the right-hand side between them.  A Lyapunov equation solves only
+its leading, coupling and trailing blocks and mirrors the coupling block.
+When a form is its own (Z = I), the equation is solved on T directly, without
+the products by Z.  Riccati solutions are polished by Newton-Kleinman."""
 
 from __future__ import annotations
 
@@ -28,6 +35,9 @@ EPS_STAB = 1e-9
 PSD_CLIP = 1e-12
 # Newton-Kleinman polishing steps allowed after care's Schur-method seed.
 MAX_NEWTON = 50
+# Largest side, in states, of an equation solved by one LAPACK trsyl call;
+# `solve` splits larger ones into blocks of at most this size.
+LEAF = 32
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,11 @@ class SchurForm:
     def is_stable(self, eps: float = EPS_STAB) -> bool:
         """Every eigenvalue has Re(lambda) < -eps (true when A is empty)."""
         return bool(np.all(self.eigs.real < -eps))
+
+    @property
+    def own(self) -> bool:
+        """A is its own form: T is A and Z = I."""
+        return self.T is self.A
 
 
 def _square(M, name):
@@ -94,7 +109,8 @@ def schur_form(A) -> SchurForm:
     if A.size == 0:
         return SchurForm(A, A, A, np.zeros(0, complex))
     if _is_quasi_triangular(A):
-        return _form(A, A.copy(), np.eye(A.shape[0]))
+        T = A.copy()
+        return _form(T, T, np.eye(A.shape[0]))
     T, Z = sla.schur(A, output="real")
     return _form(A, T, Z)
 
@@ -116,18 +132,83 @@ def decoupling(form: SchurForm, k: int) -> np.ndarray:
                  SchurForm(trail, trail, eye[k:, k:], -form.eigs[k:]), form.T[:k, k:]).solution
 
 
+def _trsyl(Ta, Tb, F, trans_a, trans_b):
+    """Y with op(Ta) Y + Y op(Tb) = F for quasi-triangular Ta, Tb: one LAPACK
+    trsyl call, refused when trsyl scales the solution down to avoid
+    overflow."""
+    Y, scale, _ = dtrsyl(Ta, Tb, F, trana="T" if trans_a else "N",
+                         tranb="T" if trans_b else "N")
+    if scale < 1.0:
+        raise SolverError(f"triangular solve overflows (trsyl scale {scale:.3e})")
+    return Y
+
+
+def _split(T) -> int:
+    """A cut near the middle of quasi-triangular T that keeps its 2 x 2 blocks
+    whole."""
+    k = T.shape[0] // 2
+    return k + 1 if T[k, k - 1] else k
+
+
+def _sylvester(Ta, Tb, F, trans_a, trans_b):
+    """Y with op(Ta) Y + Y op(Tb) = F, recursively blocked: the larger side is
+    split in two and the halves are solved in turn."""
+    m, n = F.shape
+    if max(m, n) <= LEAF:
+        return _trsyl(Ta, Tb, F, trans_a, trans_b)
+    if m < n:  # the transposed equation splits B's side as A's
+        return _sylvester(Tb, Ta, F.T, not trans_b, not trans_a).T
+    k = _split(Ta)
+    T11, T12, T22 = Ta[:k, :k], Ta[:k, k:], Ta[k:, k:]
+    Y = np.empty_like(F)
+    if trans_a:  # op(Ta) is block lower triangular: the leading half first
+        Y[:k] = _sylvester(T11, Tb, F[:k], trans_a, trans_b)
+        Y[k:] = _sylvester(T22, Tb, F[k:] - T12.T @ Y[:k], trans_a, trans_b)
+    else:
+        Y[k:] = _sylvester(T22, Tb, F[k:], trans_a, trans_b)
+        Y[:k] = _sylvester(T11, Tb, F[:k] - T12 @ Y[k:], trans_a, trans_b)
+    return Y
+
+
+def _lyapunov(T, F, trans_a):
+    """Y with op(T) Y + Y op(T)^T = F for symmetric F, recursively blocked:
+    only the two diagonal blocks and the coupling block Y12 are solved, and
+    Y21 = Y12^T."""
+    n = T.shape[0]
+    if n <= LEAF:
+        return _trsyl(T, T, F, trans_a, not trans_a)
+    k = _split(T)
+    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
+    Y = np.empty_like(F)
+    if trans_a:  # T^T Y + Y T: the leading block first
+        Y[:k, :k] = _lyapunov(T11, F[:k, :k], True)
+        Y[:k, k:] = _sylvester(T11, T22, F[:k, k:] - Y[:k, :k] @ T12, True, False)
+        W = T12.T @ Y[:k, k:]
+        Y[k:, k:] = _lyapunov(T22, F[k:, k:] - W - W.T, True)
+    else:  # T Y + Y T^T: the trailing block first
+        Y[k:, k:] = _lyapunov(T22, F[k:, k:], False)
+        Y[:k, k:] = _sylvester(T11, T22, F[:k, k:] - T12 @ Y[k:, k:], False, True)
+        W = T12 @ Y[:k, k:].T
+        Y[:k, :k] = _lyapunov(T11, F[:k, :k] - W - W.T, False)
+    Y[k:, :k] = Y[:k, k:].T
+    return Y
+
+
 def solve(
     fa: SchurForm, fb: SchurForm, C, trans_a: bool = False, trans_b: bool = False
 ) -> SolveReport:
     """Solve op(A) X + X op(B) + C = 0 from the Schur forms of A and B, with
-    op(M) = M^T where trans_* is set (Bartels-Stewart on LAPACK trsyl).
+    op(M) = M^T where trans_* is set (Bartels-Stewart on LAPACK trsyl,
+    recursively blocked above LEAF states).
 
     With fa and fb the same form and one side transposed, this is a Lyapunov
     equation and X comes out exactly symmetric.  Raises SolverError when
     min |lambda_i + mu_j| <= 1e-12 max(1, |lambda|max, |mu|max) over the
-    eigenvalues of A and B (the solution is not unique), or when the
-    residual exceeds 1e-10 ((||A|| + ||B||) ||X|| + ||C||) (Frobenius norms,
-    ||A|| once for a Lyapunov equation) and 1e-12.
+    eigenvalues of A and B (the solution is not unique), when trsyl has to
+    scale the solution to avoid overflow, or unless the residual is at most
+    the larger of 1e-10 ((||A|| + ||B||) ||X|| + ||C||) (Frobenius norms,
+    ||A|| once for a Lyapunov equation) and 1e-12 (so a non-finite residual
+    fails).
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     shape = (fa.A.shape[0], fb.A.shape[0])
@@ -139,20 +220,24 @@ def solve(
     if gap <= 1e-12 * max(1.0, np.abs(fa.eigs).max(), np.abs(fb.eigs).max()):
         raise SolverError("non-unique solution: spectra of op(A) and -op(B) overlap "
                           f"(min |lambda_i + mu_j| = {gap:.3e})")
-    Y, scale, _ = dtrsyl(
-        fa.T, fb.T, -(fa.Z.T @ (C @ fb.Z)),
-        trana="T" if trans_a else "N", tranb="T" if trans_b else "N",
-    )
-    X = fa.Z @ (Y / scale) @ fb.Z.T
+    F = C if fb.own else C @ fb.Z
+    F = -(F if fa.own else fa.Z.T @ F)
     lyapunov = fa is fb and trans_a != trans_b
+    Y = _lyapunov(fa.T, F, trans_a) if lyapunov else _sylvester(fa.T, fb.T, F, trans_a, trans_b)
+    X = Y if fa.own else fa.Z @ Y
+    X = X if fb.own else X @ fb.Z.T
+    A = fa.A.T if trans_a else fa.A
     if lyapunov:
         X = 0.5 * (X + X.T)
-    A = fa.A.T if trans_a else fa.A
-    B = fb.A.T if trans_b else fb.A
-    residual = np.linalg.norm(A @ X + X @ B + C, "fro")
-    norm_ab = np.linalg.norm(fa.A, "fro") + (0.0 if lyapunov else np.linalg.norm(fb.A, "fro"))
+        AX = A @ X  # X op(A)^T = (op(A) X)^T for the exactly symmetric X
+        residual = np.linalg.norm(AX + AX.T + C, "fro")
+        norm_ab = np.linalg.norm(fa.A, "fro")
+    else:
+        B = fb.A.T if trans_b else fb.A
+        residual = np.linalg.norm(A @ X + X @ B + C, "fro")
+        norm_ab = np.linalg.norm(fa.A, "fro") + np.linalg.norm(fb.A, "fro")
     bound = 1e-10 * (norm_ab * np.linalg.norm(X, "fro") + np.linalg.norm(C, "fro"))
-    if residual > bound and residual > 1e-12:
+    if not residual <= max(bound, 1e-12):
         raise SolverError(f"residual {residual:.3e} exceeds certified bound {bound:.3e}")
     return SolveReport(X, float(residual))
 

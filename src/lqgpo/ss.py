@@ -131,10 +131,12 @@ class StateSpace:
         )
 
 
-def _same_form(g: StateSpace, like: StateSpace) -> StateSpace:
-    """g, carrying the form `like` has already built for the same A."""
-    if "form" in like.__dict__:
-        g.__dict__["form"] = like.form
+def _same_form(g: StateSpace, like: StateSpace | solvers.SchurForm) -> StateSpace:
+    """g, carrying a form of its A already built: `like` itself when it is a
+    form, else the form the system `like` has built for the same A, if any."""
+    form = like if isinstance(like, solvers.SchurForm) else like.__dict__.get("form")
+    if form is not None:
+        g.__dict__["form"] = form
     return g
 
 
@@ -304,26 +306,28 @@ def _mirror(g: StateSpace) -> StateSpace:
 
 
 def _psd_factor(M):
-    """L with L L^T = M for a Gramian M, dropping its round-off directions."""
+    """L with L L^T = M for a Gramian M, dropping its round-off directions,
+    and ||L||_2, the square root of M's largest eigenvalue."""
     w, V = np.linalg.eigh(M)
     w = np.clip(w, 0.0, None)
-    keep = w > (w.max() if w.size else 0.0) * 1e-14
+    top = w.max() if w.size else 0.0
+    keep = w > top * 1e-14
     if not np.any(keep):
-        return np.zeros((M.shape[0], 0))
-    return V[:, keep] * np.sqrt(w[keep])
+        return np.zeros((M.shape[0], 0)), 0.0
+    return V[:, keep] * np.sqrt(w[keep]), float(np.sqrt(top))
 
 
 def _balanced_truncation_stable(g: StateSpace, tol: float) -> StateSpace:
     """Square-root balanced truncation of a stable system."""
     if g.n_states == 0:
         return g
-    Lc, Lo = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
+    (Lc, norm_c), (Lo, norm_o) = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
     if Lc.shape[1] == 0 or Lo.shape[1] == 0:
         return zero_system(g.n_outputs, g.n_inputs).with_feedthrough(g.D)
     U, sv, Vt = np.linalg.svd(Lo.T @ Lc, full_matrices=False)
     # Drop both the relatively negligible directions and anything at the
     # numerical noise floor of the factored product.
-    floor = 30 * np.finfo(float).eps * np.linalg.norm(Lo, 2) * np.linalg.norm(Lc, 2)
+    floor = 30 * np.finfo(float).eps * norm_o * norm_c
     thresh = max(tol * (sv[0] if sv.size else 0.0), floor)
     r = int(np.sum(sv > thresh))
     if r == 0:
@@ -404,7 +408,7 @@ def hinf_norm_est(g: StateSpace) -> float:
         if not peak > lb:
             break
         lb = peak
-    Lc, Lo = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
+    (Lc, _), (Lo, _) = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
     hankel = np.linalg.svd(Lo.T @ Lc, compute_uv=False)
     return float(np.linalg.norm(g.D, 2) + 2.0 * hankel.sum())
 

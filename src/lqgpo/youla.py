@@ -43,6 +43,7 @@ from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, performance_r
 from .solvers import SchurForm, psd_sqrt
 from .ss import (
     StateSpace,
+    _same_form,
     h2_inner,
     h2_norm_sq,
     hinf_norm_est,
@@ -104,11 +105,13 @@ class NominalLft:
     base_cost: float
 
     @functools.cached_property
-    def _schur_blocks(self) -> tuple[StateSpace, StateSpace, StateSpace, StateSpace]:
-        # M11, M12, M21 and G0 in the Schur coordinates of Acl, from the one
-        # form `build_nominal` made for the base cost
-        form = self.M11.form
-        return tuple(_on_basis(g, form) for g in (self.M11, self.M12, self.M21, self.G0))
+    def _schur_blocks(self) -> tuple[StateSpace, StateSpace, StateSpace]:
+        # [M11 M12] (one copy of Acl: both have state matrix Acl and output
+        # map Ccl), M21 and G0 in the Schur coordinates of Acl, from the one
+        # form `close_loop` made
+        M11, M12 = self.M11, self.M12
+        head = StateSpace(M11.A, np.hstack([M11.B, M12.B]), M11.C, np.hstack([M11.D, M12.D]))
+        return tuple(_on_basis(g, self.cl.form) for g in (head, self.M21, self.G0))
 
     @functools.cached_property
     def _weights(self) -> tuple[StateSpace, StateSpace]:
@@ -152,13 +155,14 @@ def build_nominal(plant: LqgPlant, ctrl0: DynController) -> NominalLft:
     D21 = np.zeros((m2 + q, Bcl.shape[1]))
     D21[:m2, n:] = psd_sqrt(plant.V)
 
-    M11 = performance_realization(cl)
-    M12 = StateSpace(Acl, B_pert, Ccl, D12)
-    M21 = StateSpace(Acl, Bcl, C_pert, D21)
-    M22 = StateSpace(Acl, B_pert, C_pert, np.zeros((m2 + q, m1 + q)))
+    # every block shares the one form of Acl that close_loop made
+    M11 = _same_form(performance_realization(cl), cl.form)
+    M12 = _same_form(StateSpace(Acl, B_pert, Ccl, D12), cl.form)
+    M21 = _same_form(StateSpace(Acl, Bcl, C_pert, D21), cl.form)
+    M22 = _same_form(StateSpace(Acl, B_pert, C_pert, np.zeros((m2 + q, m1 + q))), cl.form)
 
     cm = build_certificate_matrices(plant, ctrl0, cl)
-    G0 = StateSpace(Acl, cm.Bterm, cm.Cterm, np.zeros((m1 + q, m2 + q)))
+    G0 = _same_form(StateSpace(Acl, cm.Bterm, cm.Cterm, np.zeros((m1 + q, m2 + q))), cl.form)
 
     base_cost = h2_norm_sq(M11)
     return NominalLft(plant, ctrl0, cl, M11, M12, M21, M22, G0, base_cost)
@@ -235,7 +239,7 @@ def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     """
     it.validate(nom)
     left, right = nom._weights
-    _, _, _, G0 = nom._schur_blocks
+    _, _, G0 = nom._schur_blocks
     mid = series(left, series(_on_basis(it.combined(), it.Q_dyn.form), right))
     total = parallel(G0, mid, 1)
     S = stable_projection(total)
@@ -256,12 +260,17 @@ def frechet_gradient(nom: NominalLft, it: YoulaIterate) -> tuple[StateSpace, np.
 def lifted_cost(nom: NominalLft, it: YoulaIterate) -> float:
     """Cost of the iterate: squared H2 norm of M11 + M12 (Q_dyn+Q_stat) M21.
 
-    The assembled map must come out strictly proper; a nonzero feedthrough
-    would mean the mask invariant was violated and is raised as fatal.
+    The map is realized as [M11 M12] [I; Q M21], on one copy of the closed
+    loop.  It must come out strictly proper; a nonzero feedthrough would
+    mean the mask invariant was violated and is raised as fatal.
     """
     it.validate(nom)
-    M11, M12, M21, _ = nom._schur_blocks
-    T = parallel(M11, series(M12, series(_on_basis(it.combined(), it.Q_dyn.form), M21)), 1)
+    head, M21, _ = nom._schur_blocks
+    qm = series(_on_basis(it.combined(), it.Q_dyn.form), M21)
+    w = M21.n_inputs  # the noise channels, passed to M11 unchanged
+    tail = StateSpace(qm.A, qm.B, np.vstack([np.zeros((w, qm.n_states)), qm.C]),
+                      np.vstack([np.eye(w), qm.D]))
+    T = series(head, tail)
     if np.max(np.abs(T.D)) > 1e-9 * max(1.0, np.max(np.abs(it.Q_stat))):
         raise ArithmeticError("performance map is not strictly proper: mask violated")
     # T is stable by construction (block-triangular with stable diagonal
@@ -379,7 +388,8 @@ def iterate_from_controller(nom: NominalLft, target: DynController) -> YoulaIter
     delta = target.as_packed() - nom.ctrl0.as_packed()
     cl_target = close_loop(plant, target)  # also verifies stabilization
     Bp, Cp = perturbation_channels(plant, target.order)
-    Q_dyn = StateSpace(cl_target.Acl, Bp @ delta, delta @ Cp, np.zeros_like(delta))
+    Q_dyn = _same_form(StateSpace(cl_target.Acl, Bp @ delta, delta @ Cp, np.zeros_like(delta)),
+                       cl_target.form)
     return YoulaIterate(minreal(Q_dyn), delta)
 
 

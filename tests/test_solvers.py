@@ -70,6 +70,13 @@ class TestLyap:
         with pytest.raises(DimensionError):
             lyap_ct(-np.eye(2), np.eye(3))
 
+    def test_nan_rhs_is_refused(self):
+        # a NaN residual must fail the certificate, not slip past `>`
+        Q = np.eye(3)
+        Q[1, 2] = Q[2, 1] = np.nan
+        with pytest.raises(SolverError):
+            lyap_ct(-np.eye(3) + np.triu(np.ones((3, 3)), 1), Q)
+
 
 class TestSylvester:
     def test_scalar(self):
@@ -96,6 +103,12 @@ class TestSylvester:
     def test_near_spectrum_overlap(self):
         with pytest.raises(SolverError, match="non-unique"):
             sylvester(np.array([[1.0]]), np.array([[-1.0 + 1e-14]]), np.array([[1.0]]))
+
+    def test_inf_rhs_is_refused(self):
+        C = np.ones((2, 3))
+        C[0, 1] = np.inf
+        with pytest.raises(SolverError), np.errstate(invalid="ignore"):
+            sylvester(-np.eye(2), -2 * np.eye(3), C)
 
 
 class TestCare:
@@ -201,6 +214,70 @@ def test_reorder_matches_sorted_schur():
         assert np.array_equal(form.Z, Z)
 
 
+def _quasi_triangular(rng, n):
+    """A stable n x n matrix in standardized real Schur form with a 2 x 2 block
+    across every midpoint the blocked solve's halving meets, so every cut
+    has to step past a block, and one more block at the end."""
+    starts = []
+
+    def halve(lo, hi):
+        if hi - lo > solvers.LEAF:
+            mid = lo + (hi - lo) // 2
+            starts.append(mid - 1)
+            halve(lo, mid + 1)  # the cut steps past the block
+            halve(mid + 1, hi)
+
+    halve(0, n)
+    if all(abs(n - 2 - i) > 1 for i in starts):
+        starts.append(n - 2)
+    T = np.triu(rng.normal(size=(n, n)), 1) / np.sqrt(n)
+    T[np.diag_indices(n)] = -rng.uniform(0.5, 2.0, n)
+    for i in starts:
+        T[i + 1, i + 1] = T[i, i]
+        T[i, i + 1], T[i + 1, i] = rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)
+    return T
+
+
+BLOCKED_SIZES = [solvers.LEAF - 1, solvers.LEAF, solvers.LEAF + 1, 2 * solvers.LEAF + 1, 150]
+TRANS = [(False, False), (False, True), (True, False), (True, True)]
+
+
+def _one_trsyl(Ta, Tb, C, trans_a, trans_b):
+    Y, scale, _ = scipy.linalg.lapack.dtrsyl(Ta, Tb, -C, trana="T" if trans_a else "N",
+                                             tranb="T" if trans_b else "N")
+    return Y / scale
+
+
+@pytest.mark.parametrize("trans_a,trans_b", TRANS)
+@pytest.mark.parametrize("n", BLOCKED_SIZES)
+def test_blocked_sylvester_matches_one_trsyl(n, trans_a, trans_b):
+    # both orders of the larger side: B's side is split through the
+    # transposed equation
+    rng = np.random.default_rng(n)
+    for m in (n // 2 + 3, 2 * n + 1):
+        Ta, Tb = _quasi_triangular(rng, m), _quasi_triangular(rng, n)
+        C = rng.normal(size=(m, n))
+        fa, fb = solvers.schur_form(Ta), solvers.schur_form(Tb)
+        assert fa.own and fb.own
+        X = solvers.solve(fa, fb, C, trans_a, trans_b).solution
+        ref = _one_trsyl(Ta, Tb, C, trans_a, trans_b)
+        assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("trans_a", [True, False])
+@pytest.mark.parametrize("n", BLOCKED_SIZES)
+def test_blocked_lyapunov_matches_one_trsyl(n, trans_a):
+    rng = np.random.default_rng(n)
+    T = _quasi_triangular(rng, n)
+    M = rng.normal(size=(n, 3))
+    C = M @ M.T
+    form = solvers.schur_form(T)
+    X = solvers.solve(form, form, C, trans_a, not trans_a).solution
+    ref = _one_trsyl(T, T, C, trans_a, not trans_a)
+    assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(X, X.T)
+
+
 @pytest.fixture()
 def perturbed_trsyl(monkeypatch):
     """The layer's triangular solve, returning a solution off by 1e-6 relative."""
@@ -215,6 +292,11 @@ def perturbed_trsyl(monkeypatch):
 
 STABLE = StateSpace([[-1.0, 1.0], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
 MIXED = StateSpace([[-1.0, 1.0], [0.0, 2.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+# a dense stable system above the leaf size: its solves are blocked
+_BIG_RNG = np.random.default_rng(6)
+_BIG_N = 2 * solvers.LEAF + 1
+BIG = StateSpace(_BIG_RNG.normal(size=(_BIG_N, _BIG_N)) / np.sqrt(_BIG_N) - 2.0 * np.eye(_BIG_N),
+                 _BIG_RNG.normal(size=(_BIG_N, 1)), _BIG_RNG.normal(size=(1, _BIG_N)), [[0.0]])
 
 
 def test_one_schur_form_per_system(factorizations):
@@ -236,7 +318,10 @@ def test_one_schur_form_per_system(factorizations):
     lambda: h2_inner(STABLE, STABLE),
     lambda: gramian_ctrb(STABLE),
     lambda: stable_antistable_split(MIXED),
-], ids=["h2_norm_sq", "h2_inner", "gramian_ctrb", "stable_antistable_split"])
+    lambda: h2_norm_sq(BIG),
+    lambda: h2_inner(BIG, STABLE),
+], ids=["h2_norm_sq", "h2_inner", "gramian_ctrb", "stable_antistable_split",
+        "h2_norm_sq_blocked", "h2_inner_blocked"])
 def test_residual_check_reaches_ss(call, perturbed_trsyl):
     with pytest.raises(SolverError, match="residual"):
         call()

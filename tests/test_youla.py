@@ -308,6 +308,21 @@ class TestSchurCoordinates:
         assert h2_distance(S, S_ref) <= 1e-8 * np.sqrt(h2_norm_sq(S_ref))
         assert lifted_cost(nom, it) == pytest.approx(lifted_cost_dense(nom, it), rel=1e-10)
 
+    def test_closed_loop_factored_once_per_descent(self, nom_random8, monkeypatch):
+        # close_loop's form of Acl serves the base cost, the smoothness bound
+        # and every Schur-coordinate block of the nominal
+        Acl = nom_random8.cl.Acl
+        on_acl = []
+
+        def recorded(A, *args, _orig=scipy.linalg.schur, **kwargs):
+            on_acl.append(A.shape == Acl.shape and np.array_equal(A, Acl))
+            return _orig(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", recorded)
+        nom = build_nominal(nom_random8.plant, nom_random8.ctrl0)
+        run_lifted_gradient_descent(nom, iters=2)
+        assert sum(on_acl) == 1
+
     def test_factors_no_more_than_the_iterate(self, nom_random8, monkeypatch):
         # on a warm nominal, gradient and cost factor nothing larger than
         # Q_dyn or the returned S: every product is its own Schur form
