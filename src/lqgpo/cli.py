@@ -197,7 +197,8 @@ def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
 @main.command("optimize")
 @click.option("--plant", "plant_path", required=True, type=click.Path(exists=True))
 @click.option("--controller", "ctrl_path", required=True, type=click.Path(exists=True))
-@click.option("--eta", type=float, default=0.1, show_default=True)
+@click.option("--eta", type=float, default=None,
+              help="Lifted step size [default: min(0.1, 1.9/L) for the smoothness bound L].")
 @click.option("--iters", type=click.IntRange(min=0), default=14, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--save-controller", "save_path", type=click.Path(), default=None)

@@ -207,7 +207,8 @@ class ClosedLoop:
         Acl Sigma + Sigma Acl^T + Bcl Bcl^T = 0.
 
     form is the real Schur form of Acl that decided stability and served
-    both solves; the lifted nominal's systems on Acl reuse it.
+    both solves; every block of the lifted nominal is realized on its
+    quasi-triangular T, in its coordinates, and takes T as its own form.
     """
 
     Acl: np.ndarray

@@ -106,7 +106,7 @@ class StateSpace:
         return not np.any(self.D)
 
     def with_feedthrough(self, D) -> "StateSpace":
-        return _same_form(StateSpace(self.A, self.B, self.C, D), self)
+        return StateSpace(self.A, self.B, self.C, D)
 
     def to_dict(self) -> dict:
         return {
@@ -131,15 +131,6 @@ class StateSpace:
         )
 
 
-def _same_form(g: StateSpace, like: StateSpace | solvers.SchurForm) -> StateSpace:
-    """g, carrying a form of its A already built: `like` itself when it is a
-    form, else the form the system `like` has built for the same A, if any."""
-    form = like if isinstance(like, solvers.SchurForm) else like.__dict__.get("form")
-    if form is not None:
-        g.__dict__["form"] = form
-    return g
-
-
 def zero_system(n_outputs: int, n_inputs: int) -> StateSpace:
     """The identically-zero transfer matrix with no states."""
     return StateSpace(
@@ -158,7 +149,7 @@ def static_gain(D) -> StateSpace:
 
 def scaled(g: StateSpace, alpha: float) -> StateSpace:
     """alpha * G(s)."""
-    return _same_form(StateSpace(g.A, g.B, alpha * g.C, alpha * g.D), g)
+    return StateSpace(g.A, g.B, alpha * g.C, alpha * g.D)
 
 
 def series(g: StateSpace, h: StateSpace) -> StateSpace:

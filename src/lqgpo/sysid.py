@@ -18,7 +18,6 @@ import numpy as np
 from numpy.linalg import matrix_power
 
 from .errors import IdentifiabilityError
-from .solvers import schur_form
 from .ss import RationalScalar, StateSpace, freq_response, h2_inner, parallel, scaled
 from .youla import NominalLft, YoulaIterate, lifted_cost
 
@@ -55,11 +54,6 @@ def default_grid(n_points: int = 200, lo: float = 0.1, hi: float = 100.0, spacin
     if spacing == "linear":
         return np.linspace(lo, hi, n_points)
     raise ValueError(f"unknown spacing {spacing!r}")
-
-
-def measure_response_direct(g: StateSpace, grid) -> list[FreqSample]:
-    """Noise-free frequency samples of the full response matrix, weight 1."""
-    return [FreqSample(float(w), freq_response(g, float(w))) for w in grid]
 
 
 def _rk4_step_ops(A, B, h):
@@ -129,7 +123,10 @@ def sine_response(
     if g.n_states == 0:
         return g.D.astype(complex)
     M0, W1, W2, W3 = _rk4_step_ops(g.A, g.B, h)
-    radius = np.abs(schur_form(M0).eigs).max()
+    # M0 = R(hA) with RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 +
+    # z^4/24, so its eigenvalues are R(h lambda) over the system's poles
+    radius = np.abs(np.polynomial.polynomial.polyval(
+        h * g.poles(), [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24])).max()
     if radius >= 1.0:
         raise ValueError(f"step {h} is outside the RK4 stability region "
                          f"(spectral radius {radius:.6g} of the update)")

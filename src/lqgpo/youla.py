@@ -20,10 +20,11 @@ scaling.
 
 The products behind S and the cost are block-triangular: their diagonal
 blocks are the closed loop, the two reduced weights and Q_dyn.  The nominal
-keeps its fixed blocks in Schur coordinates and each iterate's Q_dyn is put
-in its own, so every product is quasi-triangular and is its own Schur form
-(`solvers.schur_form`); per iterate, only Q_dyn and the truncated systems
-are factored, and S's stable projection is a reorder of that form.
+blocks are realized once, in the Schur coordinates of the closed-loop form
+that `close_loop` made, and each iterate's Q_dyn is put in its own, so every
+product is quasi-triangular and is its own Schur form (`solvers.schur_form`);
+per iterate, only Q_dyn and the truncated systems are factored, and S's
+stable projection is a reorder of that form.
 """
 
 from __future__ import annotations
@@ -38,12 +39,10 @@ import numpy as np
 
 from .certificate import build_certificate_matrices
 from .errors import DimensionError, UnstableError
-from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, performance_realization,
-                   perturbation_channels)
+from .lqg import ClosedLoop, DynController, LqgPlant, close_loop, lqg_cost, perturbation_channels
 from .solvers import SchurForm, psd_sqrt
 from .ss import (
     StateSpace,
-    _same_form,
     h2_inner,
     h2_norm_sq,
     hinf_norm_est,
@@ -89,9 +88,11 @@ class NominalLft:
     """Four-block nominal data at a fixed stabilizing controller.
 
     M11 maps noise to performance (its squared H2 norm is the cost at the
-    base controller); M12/M21 carry the perturbation in/out; M22 is the
-    interconnection seen by the perturbation.  G0 is the fixed stable term
-    of the sensitivity system, built from the certificate blocks.
+    base controller, base_cost); M12/M21 carry the perturbation in/out; M22
+    is the interconnection seen by the perturbation.  G0 is the fixed stable
+    term of the sensitivity system, built from the certificate blocks.  All
+    five share the state matrix T of the closed loop's Schur form: each is
+    realized as (T, Z^T B, C Z, D), so each is its own Schur form.
     """
 
     plant: LqgPlant
@@ -105,13 +106,11 @@ class NominalLft:
     base_cost: float
 
     @functools.cached_property
-    def _schur_blocks(self) -> tuple[StateSpace, StateSpace, StateSpace]:
-        # [M11 M12] (one copy of Acl: both have state matrix Acl and output
-        # map Ccl), M21 and G0 in the Schur coordinates of Acl, from the one
-        # form `close_loop` made
+    def _head(self) -> StateSpace:
+        # [M11 M12] on one copy of the closed loop: both have state matrix T
+        # and output map Ccl Z
         M11, M12 = self.M11, self.M12
-        head = StateSpace(M11.A, np.hstack([M11.B, M12.B]), M11.C, np.hstack([M11.D, M12.D]))
-        return tuple(_on_basis(g, self.cl.form) for g in (head, self.M21, self.G0))
+        return StateSpace(M11.A, np.hstack([M11.B, M12.B]), M11.C, np.hstack([M11.D, M12.D]))
 
     @functools.cached_property
     def _weights(self) -> tuple[StateSpace, StateSpace]:
@@ -146,7 +145,6 @@ def build_nominal(plant: LqgPlant, ctrl0: DynController) -> NominalLft:
     cl = close_loop(plant, ctrl0)
     n, q = cl.n, cl.q
     m1, m2 = plant.n_inputs, plant.n_outputs
-    Acl = cl.Acl
     Bcl, Ccl = cl.Bcl, cl.Ccl
     B_pert, C_pert = perturbation_channels(plant, q)
 
@@ -155,17 +153,15 @@ def build_nominal(plant: LqgPlant, ctrl0: DynController) -> NominalLft:
     D21 = np.zeros((m2 + q, Bcl.shape[1]))
     D21[:m2, n:] = psd_sqrt(plant.V)
 
-    # every block shares the one form of Acl that close_loop made
-    M11 = _same_form(performance_realization(cl), cl.form)
-    M12 = _same_form(StateSpace(Acl, B_pert, Ccl, D12), cl.form)
-    M21 = _same_form(StateSpace(Acl, Bcl, C_pert, D21), cl.form)
-    M22 = _same_form(StateSpace(Acl, B_pert, C_pert, np.zeros((m2 + q, m1 + q))), cl.form)
-
     cm = build_certificate_matrices(plant, ctrl0, cl)
-    G0 = _same_form(StateSpace(Acl, cm.Bterm, cm.Cterm, np.zeros((m1 + q, m2 + q))), cl.form)
-
-    base_cost = h2_norm_sq(M11)
-    return NominalLft(plant, ctrl0, cl, M11, M12, M21, M22, G0, base_cost)
+    # every block in the Schur coordinates of the one form close_loop made
+    T, Z = cl.form.T, cl.form.Z
+    M11 = StateSpace(T, Z.T @ Bcl, Ccl @ Z, np.zeros((Ccl.shape[0], Bcl.shape[1])))
+    M12 = StateSpace(T, Z.T @ B_pert, Ccl @ Z, D12)
+    M21 = StateSpace(T, Z.T @ Bcl, C_pert @ Z, D21)
+    M22 = StateSpace(T, Z.T @ B_pert, C_pert @ Z, np.zeros((m2 + q, m1 + q)))
+    G0 = StateSpace(T, Z.T @ cm.Bterm, cm.Cterm @ Z, np.zeros((m1 + q, m2 + q)))
+    return NominalLft(plant, ctrl0, cl, M11, M12, M21, M22, G0, lqg_cost(cl))
 
 
 @dataclass(frozen=True)
@@ -239,9 +235,8 @@ def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     """
     it.validate(nom)
     left, right = nom._weights
-    _, _, G0 = nom._schur_blocks
     mid = series(left, series(_on_basis(it.combined(), it.Q_dyn.form), right))
-    total = parallel(G0, mid, 1)
+    total = parallel(nom.G0, mid, 1)
     S = stable_projection(total)
     # The mask kills the feedthrough chain exactly; clear round-off and keep
     # the result strictly proper.
@@ -265,12 +260,11 @@ def lifted_cost(nom: NominalLft, it: YoulaIterate) -> float:
     mean the mask invariant was violated and is raised as fatal.
     """
     it.validate(nom)
-    head, M21, _ = nom._schur_blocks
-    qm = series(_on_basis(it.combined(), it.Q_dyn.form), M21)
-    w = M21.n_inputs  # the noise channels, passed to M11 unchanged
+    qm = series(_on_basis(it.combined(), it.Q_dyn.form), nom.M21)
+    w = nom.M21.n_inputs  # the noise channels, passed to M11 unchanged
     tail = StateSpace(qm.A, qm.B, np.vstack([np.zeros((w, qm.n_states)), qm.C]),
                       np.vstack([np.eye(w), qm.D]))
-    T = series(head, tail)
+    T = series(nom._head, tail)
     if np.max(np.abs(T.D)) > 1e-9 * max(1.0, np.max(np.abs(it.Q_stat))):
         raise ArithmeticError("performance map is not strictly proper: mask violated")
     # T is stable by construction (block-triangular with stable diagonal
@@ -370,7 +364,6 @@ def run_lifted_gradient_descent(
         # both terms in their Schur coordinates: the sum is its own form
         q_next = _truncate_stable(parallel(_on_basis(it.Q_dyn, it.Q_dyn.form),
                                            scaled(_on_basis(S, S.form), eta), -1))
-        q_next = q_next.with_feedthrough(np.zeros((q_next.n_outputs, q_next.n_inputs)))
         it = YoulaIterate(q_next, it.Q_stat - eta * res_mask)
     return records, it
 
@@ -388,8 +381,8 @@ def iterate_from_controller(nom: NominalLft, target: DynController) -> YoulaIter
     delta = target.as_packed() - nom.ctrl0.as_packed()
     cl_target = close_loop(plant, target)  # also verifies stabilization
     Bp, Cp = perturbation_channels(plant, target.order)
-    Q_dyn = _same_form(StateSpace(cl_target.Acl, Bp @ delta, delta @ Cp, np.zeros_like(delta)),
-                       cl_target.form)
+    Q_dyn = _on_basis(StateSpace(cl_target.Acl, Bp @ delta, delta @ Cp, np.zeros_like(delta)),
+                      cl_target.form)
     return YoulaIterate(minreal(Q_dyn), delta)
 
 

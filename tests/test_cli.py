@@ -140,6 +140,19 @@ class TestOptimize:
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert saved.exists()
 
+    def test_default_step_descends_from_example2_controller(self, runner, io_dir):
+        # L = 70.7 on this nominal: a fixed 0.1 step would diverge
+        out = io_dir / "run_ex2.csv"
+        result = runner.invoke(
+            main, ["optimize", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl_ex2.json"), "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        _, rows = read_csv(out)
+        costs = [float(r[1]) for r in rows]
+        assert len(costs) == 15
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+
     def test_zero_iters_returns_input(self, runner, io_dir):
         out = io_dir / "run0.csv"
         saved = io_dir / "same.json"

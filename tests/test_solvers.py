@@ -360,3 +360,16 @@ def test_no_module_names_eigvals():
         if "eigvals" in _names(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+def test_no_module_subscripts_a_dict():
+    """A system's cached form is its own: no module reaches into an object's
+    __dict__ to hand one system's form to another."""
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "__dict__"
+    ]
+    assert offenders == []

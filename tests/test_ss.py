@@ -495,14 +495,6 @@ def test_scaled_helper():
     assert freq_response(g, 0.0)[0, 0] == pytest.approx(3.0)
 
 
-def test_same_a_keeps_the_form():
-    # with_feedthrough and scaled leave A alone, so they carry its form
-    g = random_stable_ss(np.random.default_rng(12), 4, 2, 2)
-    form = g.form
-    assert g.with_feedthrough(np.ones((2, 2))).form is form
-    assert scaled(g, -0.5).form is form
-
-
 def test_static_gain():
     g = static_gain([[1.0, 2.0]])
     assert g.n_states == 0

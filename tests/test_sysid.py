@@ -17,7 +17,6 @@ from lqgpo.ss import (
     minreal,
     parallel,
     rational_to_ss,
-    zero_system,
 )
 from lqgpo.sysid import (
     FreqSample,
@@ -29,7 +28,6 @@ from lqgpo.sysid import (
     laguerre_coeffs_zeroth,
     laguerre_project,
     laguerre_reconstruct,
-    measure_response_direct,
     reduce_order,
     sine_response,
     zo_gradient_estimate,
@@ -50,6 +48,11 @@ from lqgpo.lqg import DynController, lqg_optimal
 
 def lag_half():
     return StateSpace([[-0.5]], [[1.0]], [[1.0]], [[0.0]])
+
+
+def direct_samples(g, grid):
+    """Noise-free frequency samples of the full response matrix, weight 1."""
+    return [FreqSample(float(w), freq_response(g, float(w))) for w in grid]
 
 
 def stepped_reference(g, omega, settle_cycles=20, step=None, **kwargs):
@@ -74,24 +77,6 @@ def nom_ex2(plant1, ctrl_ex2):
 @pytest.fixture(scope="module")
 def s0_ex2(nom_ex2):
     return sensitivity(nom_ex2, YoulaIterate.zero(nom_ex2))
-
-
-class TestMeasureDirect:
-    def test_values_on_uniform_grid(self):
-        grid = np.linspace(0.1, 100, 200)
-        samples = measure_response_direct(lag_half(), grid)
-        assert len(samples) == 200
-        for s in samples[::40]:
-            assert s.value[0, 0] == pytest.approx(1.0 / (1j * s.omega + 0.5), rel=1e-12)
-            assert s.weight == 1.0
-
-    def test_zero_system(self):
-        samples = measure_response_direct(zero_system(1, 1), [1.0, 2.0])
-        assert all(abs(s.value[0, 0]) == 0.0 for s in samples)
-
-    def test_single_point(self):
-        samples = measure_response_direct(lag_half(), [2.5])
-        assert len(samples) == 1
 
 
 class TestSineResponse:
@@ -194,7 +179,7 @@ class TestGridAndSamples:
 class TestFitRational:
     def test_exact_first_order(self):
         grid = np.linspace(0.1, 100, 200)
-        samples = measure_response_direct(lag_half(), grid)
+        samples = direct_samples(lag_half(), grid)
         fit = fit_rational(samples, 0, 1)
         assert fit.num[0] == pytest.approx(1.0, abs=1e-12)
         assert fit.den[0] == pytest.approx(0.5, abs=1e-12)
@@ -207,7 +192,7 @@ class TestFitRational:
     def test_cubic_entry_accuracy(self, nom_ex2):
         grid = np.linspace(0.1, 100, 200)
         entry = _entry_subsystem(nom_ex2.M22, 0, 0)
-        samples = measure_response_direct(entry, grid)
+        samples = direct_samples(entry, grid)
         fit = fit_rational(samples, 2, 3)
         truth_num = np.array([1.0 / 12.0, 17.0 / 24.0, 13.0 / 12.0])
         truth_den = np.array([5.0 / 12.0, 7.0 / 3.0, 2.0, 1.0])
@@ -215,7 +200,7 @@ class TestFitRational:
         assert np.abs(fit.den - truth_den).max() / np.abs(truth_den).max() <= 1e-3
 
     def test_needs_enough_samples(self):
-        samples = measure_response_direct(lag_half(), [1.0])
+        samples = direct_samples(lag_half(), [1.0])
         with pytest.raises(IdentifiabilityError):
             fit_rational(samples, 1, 2)
 
@@ -242,7 +227,7 @@ class TestFitRational:
         # fitting a first-order response with a (2, 3) model is a
         # two-parameter family: unidentifiable
         grid = np.linspace(0.1, 100, 200)
-        samples = measure_response_direct(lag_half(), grid)
+        samples = direct_samples(lag_half(), grid)
         with pytest.raises(IdentifiabilityError) as info:
             fit_rational(samples, 2, 3)
         assert info.value.condition is None or info.value.condition > 0

@@ -8,7 +8,8 @@ from conftest import (MASTER_SEED, freq_response_fast, random_plant, random_spd,
                       random_stabilizing_controller, random_stable_ss)
 from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, lifted_cost_dense,
                         sensitivity_dense)
-from lqgpo.lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal
+from lqgpo.certificate import build_certificate_matrices
+from lqgpo.lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal, perturbation_channels
 from lqgpo.solvers import psd_sqrt
 from lqgpo.ss import (
     StateSpace,
@@ -307,6 +308,27 @@ class TestSchurCoordinates:
         S, S_ref = sensitivity(nom, it), sensitivity_dense(nom, it)
         assert h2_distance(S, S_ref) <= 1e-8 * np.sqrt(h2_norm_sq(S_ref))
         assert lifted_cost(nom, it) == pytest.approx(lifted_cost_dense(nom, it), rel=1e-10)
+
+    def test_nominal_blocks_are_their_own_forms(self, nom_random8, factorizations):
+        # each block is realized on the closed loop's quasi-triangular T, so
+        # its form is its own; each has the transfer matrix of its
+        # realization on Acl
+        plant, ctrl0 = nom_random8.plant, nom_random8.ctrl0
+        nom = build_nominal(plant, ctrl0)
+        factorizations.clear()
+        blocks = (nom.M11, nom.M12, nom.M21, nom.M22, nom.G0)
+        assert all(g.form.own for g in blocks)
+        assert factorizations == {}
+        cl = nom.cl
+        B_pert, C_pert = perturbation_channels(plant, cl.q)
+        cm = build_certificate_matrices(plant, ctrl0, cl)
+        on_acl = [(cl.Bcl, cl.Ccl), (B_pert, cl.Ccl), (cl.Bcl, C_pert), (B_pert, C_pert),
+                  (cm.Bterm, cm.Cterm)]
+        for g, (B, C) in zip(blocks, on_acl):
+            ref = StateSpace(cl.Acl, B, C, g.D)
+            for w in (0.1, 1.0, 10.0):
+                want = freq_response(ref, w)
+                assert np.abs(freq_response(g, w) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_closed_loop_factored_once_per_descent(self, nom_random8, monkeypatch):
         # close_loop's form of Acl serves the base cost, the smoothness bound
