@@ -18,13 +18,17 @@ The update uses S itself (the factor 2 of the Frechet derivative is folded
 into the step size), so a step eta corresponds to 2*eta in gradient-flow
 scaling.
 
-The products behind S and the cost are block-triangular: their diagonal
-blocks are the closed loop, the two reduced weights and Q_dyn.  The nominal
-blocks are realized once, in the Schur coordinates of the closed-loop form
-that `close_loop` made, and each iterate's Q_dyn is put in its own, so every
-product is quasi-triangular and is its own Schur form (`solvers.schur_form`);
-per iterate, only Q_dyn and the truncated systems are factored, and S's
-stable projection is a reorder of that form.
+The cost and S come from one realization of the cost map
+T = [M11 M12] [I; Q M21], whose states are closed loop | Q_dyn | closed loop.
+The nominal blocks are realized once, in the Schur coordinates of the
+closed-loop form that `close_loop` made, and each iterate's Q_dyn is put in
+its own, so T's state matrix is quasi-triangular and is its own Schur form
+(`solvers.schur_form`).  The cost is read off T's observability Gramian X_T,
+and S is T's state matrix with an input map from one Sylvester solve and an
+output map from the closed-loop rows of X_T (see `sensitivity`): no product
+with a para-conjugate is formed and nothing is split into stable and
+anti-stable parts.  Per iterate, only Q_dyn and the truncated systems are
+factored.
 """
 
 from __future__ import annotations
@@ -40,19 +44,17 @@ import numpy as np
 from .certificate import build_certificate_matrices
 from .errors import DimensionError, UnstableError
 from .lqg import ClosedLoop, DynController, LqgPlant, close_loop, lqg_cost, perturbation_channels
-from .solvers import SchurForm, psd_sqrt
+from .solvers import SchurForm, psd_sqrt, solve
 from .ss import (
     StateSpace,
+    gramian_obsv,
     h2_inner,
     h2_norm_sq,
     hinf_norm_est,
     minreal,
-    para_conjugate,
     parallel,
     scaled,
     series,
-    stable_antistable_split,
-    stable_projection,
     static_gain,
     zero_system,
 )
@@ -60,7 +62,7 @@ from .ss import (
 logger = logging.getLogger(__name__)
 
 # Relative Hankel singular-value threshold of every truncation in the lifted
-# descent: the reduced weights, the sensitivity system and each iterate.
+# descent: the sensitivity system and each iterate.
 TRUNC_TOL = 1e-9
 
 
@@ -111,15 +113,6 @@ class NominalLft:
         # and output map Ccl Z
         M11, M12 = self.M11, self.M12
         return StateSpace(M11.A, np.hstack([M11.B, M12.B]), M11.C, np.hstack([M11.D, M12.D]))
-
-    @functools.cached_property
-    def _weights(self) -> tuple[StateSpace, StateSpace]:
-        # the reduced weights (M12~ M12, M21 M21~), built on the first
-        # `sensitivity` call, each as its stable and anti-stable parts in
-        # their own Schur coordinates
-        return tuple(parallel(*stable_antistable_split(minreal(w, TRUNC_TOL)))
-                     for w in (series(para_conjugate(self.M12), self.M12),
-                               series(self.M21, para_conjugate(self.M21))))
 
     @property
     def q_rows(self) -> int:
@@ -223,40 +216,12 @@ def norm_u(a: tuple[StateSpace, np.ndarray]) -> float:
     return float(np.sqrt(h2_norm_sq(g) + np.sum(m * m)))
 
 
-def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
-    """The stable sensitivity system S at the given iterate.
+def _performance_map(nom: NominalLft, it: YoulaIterate) -> StateSpace:
+    """The cost map T = M11 + M12 (Q_dyn + Q_stat) M21, strictly proper.
 
-    S = stable part of  G0 + M12~ M12 (Q_dyn + Q_stat) M21 M21~, reduced by
-    balanced truncation.  The para-conjugate products are formed pairwise
-    with intermediate truncation to cap the state dimension; the two
-    iterate-independent products are reduced once per nominal.  Every block
-    is in Schur coordinates, so the stable projection reorders the sum's
-    own form and S comes out quasi-triangular.
-    """
-    it.validate(nom)
-    left, right = nom._weights
-    mid = series(left, series(_on_basis(it.combined(), it.Q_dyn.form), right))
-    total = parallel(nom.G0, mid, 1)
-    S = stable_projection(total)
-    # The mask kills the feedthrough chain exactly; clear round-off and keep
-    # the result strictly proper.
-    S = S.with_feedthrough(np.zeros((S.n_outputs, S.n_inputs)))
-    return _truncate_stable(S)
-
-
-def frechet_gradient(nom: NominalLft, it: YoulaIterate) -> tuple[StateSpace, np.ndarray]:
-    """Gradient carrier (S, masked residue of S); the true Frechet derivative
-    is twice this pair."""
-    S = sensitivity(nom, it)
-    # S is stable, so its residue sum is C B
-    return S, mask_block(S.C @ S.B, nom.mask_rows, nom.mask_cols)
-
-
-def lifted_cost(nom: NominalLft, it: YoulaIterate) -> float:
-    """Cost of the iterate: squared H2 norm of M11 + M12 (Q_dyn+Q_stat) M21.
-
-    The map is realized as [M11 M12] [I; Q M21], on one copy of the closed
-    loop.  It must come out strictly proper; a nonzero feedthrough would
+    It is realized as [M11 M12] [I; Q M21], with states closed loop | Q_dyn |
+    closed loop, so its A is block upper triangular with quasi-triangular
+    diagonal blocks: it is its own Schur form.  A nonzero feedthrough would
     mean the mask invariant was violated and is raised as fatal.
     """
     it.validate(nom)
@@ -267,11 +232,65 @@ def lifted_cost(nom: NominalLft, it: YoulaIterate) -> float:
     T = series(nom._head, tail)
     if np.max(np.abs(T.D)) > 1e-9 * max(1.0, np.max(np.abs(it.Q_stat))):
         raise ArithmeticError("performance map is not strictly proper: mask violated")
-    # T is stable by construction (block-triangular with stable diagonal
-    # blocks in Schur coordinates, so it is its own Schur form), and the
-    # norm is evaluated on the unreduced realization.
-    T = T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs)))
-    return h2_norm_sq(T)
+    return T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs)))
+
+
+def _cost_and_sensitivity(nom: NominalLft, it: YoulaIterate) -> tuple[float, StateSpace]:
+    """The cost ||T||_H2^2 and the sensitivity system S, from one
+    observability Gramian X_T of the performance map T (see `sensitivity`)."""
+    T = _performance_map(nom, it)
+    X = gramian_obsv(T)
+    cost = float(max(np.trace(T.B.T @ X @ T.B), 0.0))
+    M12, M21 = nom.M12, nom.M21
+    # A_T W + W A21^T + B_T B21^T = 0
+    W = solve(T.form, M21.form, T.B @ M21.B.T, trans_b=True).solution
+    S = StateSpace(T.A, W @ M21.C.T + T.B @ M21.D.T,
+                   M12.B.T @ X[:M12.n_states] + M12.D.T @ T.C,
+                   np.zeros((M12.n_inputs, M21.n_outputs)))
+    return cost, _truncate_stable(S)
+
+
+def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
+    """The stable sensitivity system S at the given iterate, reduced by
+    balanced truncation.
+
+    S is the stable part of M12~ T M21~, T = M11 + M12 (Q_dyn + Q_stat) M21
+    the cost map; at the zero iterate it is the nominal's G0.  With
+    T = (A_T, B_T, C_T, 0) and X_T its observability Gramian, the projection
+    identity for the stable part of G~ H, G and H stable (Zhou, Doyle &
+    Glover, Robust and Optimal Control, 1996, ch. 8), gives
+
+        S = (A_T, W C21^T + B_T D21^T, B12^T X_T[:nc] + D12^T C_T, 0).
+
+    - (A_T, W C21^T + B_T D21^T, C_T, 0) is the stable part of T M21~; W
+      solves A_T W + W A21^T + B_T B21^T = 0 (one `solvers.solve`).
+    - X_T[:nc], the rows of X_T on T's leading closed-loop states, solves
+      Tcl^T Y + Y A_T + C12^T C_T = 0, the equation of the stable part of
+      M12~ times that system: A_T's first block column is [Tcl; 0] and
+      C_T's first block is C12, M12's output map.
+
+    Before its truncation S is exactly strictly proper and has T's
+    quasi-triangular state matrix, its own Schur form.
+    """
+    return _cost_and_sensitivity(nom, it)[1]
+
+
+def _masked_residue(nom: NominalLft, S: StateSpace) -> np.ndarray:
+    # S is stable, so its residue sum is C B
+    return mask_block(S.C @ S.B, nom.mask_rows, nom.mask_cols)
+
+
+def frechet_gradient(nom: NominalLft, it: YoulaIterate) -> tuple[StateSpace, np.ndarray]:
+    """Gradient carrier (S, masked residue of S); the true Frechet derivative
+    is twice this pair."""
+    S = sensitivity(nom, it)
+    return S, _masked_residue(nom, S)
+
+
+def lifted_cost(nom: NominalLft, it: YoulaIterate) -> float:
+    """Cost of the iterate: squared H2 norm of M11 + M12 (Q_dyn+Q_stat) M21,
+    evaluated on the unreduced performance map."""
+    return h2_norm_sq(_performance_map(nom, it))
 
 
 @dataclass(frozen=True)
@@ -353,8 +372,8 @@ def run_lifted_gradient_descent(
     records: list[IterateRecord] = []
     t0 = time.perf_counter()
     for k in range(iters + 1):
-        S, res_mask = frechet_gradient(nom, it)
-        cost = lifted_cost(nom, it)
+        cost, S = _cost_and_sensitivity(nom, it)
+        res_mask = _masked_residue(nom, S)
         gnorm = norm_u((S, res_mask))
         records.append(
             IterateRecord(k, cost, gnorm, it.Q_dyn.n_states, time.perf_counter() - t0)
@@ -395,9 +414,6 @@ def reconstruct_controller_delta(nom: NominalLft, it: YoulaIterate) -> StateSpac
     it.validate(nom)
     Q = it.combined()
     M = nom.M22
-    loop_D = np.eye(Q.n_outputs) + Q.D @ M.D
-    if abs(np.linalg.det(loop_D)) < 1e-12:
-        raise ArithmeticError("singular static loop in the inverse parameterization")
     nq, nm = Q.n_states, M.n_states
     A = np.zeros((nq + nm, nq + nm))
     A[:nq, :nq] = Q.A

@@ -1,7 +1,10 @@
 """Frozen reference values for the built-in benchmark systems, the
 step-by-step RK4 simulation that `sysid.sine_response` replaced by its
 closed form, and the lifted sensitivity and cost assembled on the nominal's
-dense realizations, which `youla` replaced by blocks in Schur coordinates.
+dense realizations, which `youla` replaced by blocks in Schur coordinates:
+the sensitivity once through the reduced weights M12~ M12 and M21 M21~ and
+once as the stable part of the whole product M12~ T M21~, where `youla`
+reads it off the cost map's observability Gramian.
 
 The optimal-controller matrices are two-decimal reference values; note the
 sign of the second output-gain entry is -0.22, the only sign consistent
@@ -94,9 +97,10 @@ def sine_response_loop(g, omega, c_omega=1.0, settle_cycles=20, sample_cycles=10
 
 
 def sensitivity_dense(nom, it):
-    """`youla.sensitivity` on the nominal's own realizations: the reduced
-    weights as `minreal` returns them, the iterate as given, and the stable
-    projection of the sum from its own (sorted) Schur form."""
+    """The sensitivity system as the stable part of G0 + M12~ M12 Q M21 M21~
+    on the nominal's own realizations: the reduced weights as `minreal`
+    returns them, the iterate as given, and the stable projection of the sum
+    from its own (sorted) Schur form."""
     left = minreal(series(para_conjugate(nom.M12), nom.M12), TRUNC_TOL)
     right = minreal(series(nom.M21, para_conjugate(nom.M21)), TRUNC_TOL)
     total = parallel(nom.G0, series(left, series(it.combined(), right)), 1)
@@ -110,3 +114,15 @@ def lifted_cost_dense(nom, it):
     """`youla.lifted_cost` on the nominal's own realizations."""
     T = parallel(nom.M11, series(nom.M12, series(it.combined(), nom.M21)), 1)
     return h2_norm_sq(T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs))))
+
+
+def sensitivity_projection_dense(nom, it):
+    """The stable part of M12~ T M21~, T = M11 + M12 Q M21 realized as in
+    `lifted_cost_dense`, from the sorted Schur form of the whole product and
+    truncated the way `youla._truncate_stable` does: the sensitivity system
+    from its definition, without the Gramian identity of `youla.sensitivity`."""
+    T = parallel(nom.M11, series(nom.M12, series(it.combined(), nom.M21)), 1)
+    T = T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs)))
+    S = stable_projection(series(para_conjugate(nom.M12), series(T, para_conjugate(nom.M21))))
+    red = minreal(S, TRUNC_TOL)
+    return red if red.is_stable() else S

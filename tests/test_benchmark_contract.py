@@ -4,6 +4,9 @@
 and binds the arguments of `sine_response` and `lqr_gradient_descent` to
 read some parameters by name.  A renamed function or parameter would break
 traced benchmark runs (`perfbench/run.py --trace 1`), so it is pinned here.
+The quick ("toy") rounds of the workloads that run the lifted descent are
+run here too, each job checked by the benchmark's own check, so a change
+that would fail the benchmark fails this suite first.
 """
 
 import importlib.util
@@ -17,15 +20,25 @@ from lqgpo import lqg, sysid
 from lqgpo.lqg import LqrProblem
 from lqgpo.ss import StateSpace
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def _wrapped(spans):
@@ -67,3 +80,15 @@ def test_hooks_count_traced_calls(spans):
     assert counts["sysid.sine_response.rk4_steps"] > 0
     assert counts["lqg.lqr_gradient_descent.calls"] == 1
     assert 1 <= counts["lqg.lqr_gradient_descent.iters"] <= 3
+
+
+@pytest.mark.parametrize("workload", ["lifted-descent", "estimation"])
+def test_toy_round_passes_the_benchmark_checks(workloads, workload):
+    # one round as `perfbench/run.py --size toy` runs it: jobs in order, each
+    # check reading the outputs of the jobs before it
+    jobs = workloads.WORKLOADS[workload].make_round(np.random.default_rng(1), "toy")
+    done = {}
+    for job in jobs:
+        out = job.run(done)
+        assert job.check(out, done) == [], job.name
+        done[job.name] = out

@@ -7,7 +7,7 @@ import scipy.linalg
 from conftest import (MASTER_SEED, freq_response_fast, random_plant, random_spd,
                       random_stabilizing_controller, random_stable_ss)
 from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, lifted_cost_dense,
-                        sensitivity_dense)
+                        sensitivity_dense, sensitivity_projection_dense)
 from lqgpo.certificate import build_certificate_matrices
 from lqgpo.lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal, perturbation_channels
 from lqgpo.solvers import psd_sqrt
@@ -22,6 +22,7 @@ from lqgpo.ss import (
 )
 from lqgpo.sysid import LaguerreBasis
 from lqgpo.youla import (
+    TRUNC_TOL,
     IterateRecord,
     YoulaIterate,
     assemble_controller,
@@ -275,7 +276,7 @@ class TestDescentRun:
         run_lifted_gradient_descent(nom_stationary, eta=eta, iters=1)
         assert len(calls) == 1
 
-    def test_weight_products_reduced_once_per_nominal(self, plant1, ctrl_stationary, monkeypatch):
+    def test_truncations_per_descent(self, plant1, ctrl_stationary, monkeypatch):
         import lqgpo.youla as youla
 
         reduced = []
@@ -289,9 +290,9 @@ class TestDescentRun:
         assert reduced == []
         iters = 5
         # per iteration: S_k's truncation, and Q_dyn's except after the last
-        # gradient; the two weight products once, on the first sensitivity
+        # gradient; nothing per nominal, on a fresh nominal as on a warm one
         first, _ = run_lifted_gradient_descent(nom, eta=0.1, iters=iters)
-        assert len(reduced) == 2 * iters + 1 + 2
+        assert len(reduced) == 2 * iters + 1
         reduced.clear()
         again, _ = run_lifted_gradient_descent(nom, eta=0.1, iters=iters)
         assert len(reduced) == 2 * iters + 1
@@ -308,6 +309,51 @@ class TestSchurCoordinates:
         S, S_ref = sensitivity(nom, it), sensitivity_dense(nom, it)
         assert h2_distance(S, S_ref) <= 1e-8 * np.sqrt(h2_norm_sq(S_ref))
         assert lifted_cost(nom, it) == pytest.approx(lifted_cost_dense(nom, it), rel=1e-10)
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("which", ["ex2", "stationary", "random8"])
+    def test_matches_projection_reference(self, which, steps, request):
+        # the stable part of M12~ T M21~ taken from the whole product's sorted
+        # Schur form, not from the cost map's Gramian
+        nom = request.getfixturevalue(f"nom_{which}")
+        it = run_lifted_gradient_descent(nom, iters=steps)[1]
+        S, S_ref = sensitivity(nom, it), sensitivity_projection_dense(nom, it)
+        assert h2_distance(S, S_ref) <= 1e-8 * np.sqrt(h2_norm_sq(S_ref))
+
+    @pytest.mark.parametrize("which", ["ex2", "stationary", "random8"])
+    def test_zero_iterate_gives_g0(self, which, request):
+        # G0 = stable part of M12~ M11 M21~, truncated as S is
+        nom = request.getfixturevalue(f"nom_{which}")
+        S = sensitivity(nom, YoulaIterate.zero(nom))
+        assert h2_distance(S, minreal(nom.G0, TRUNC_TOL)) <= 1e-12 * np.sqrt(h2_norm_sq(nom.G0))
+
+    def test_descent_splits_nothing(self, nom_random8, monkeypatch):
+        # on a warm nominal no system is split into stable and anti-stable
+        # parts, and no matrix as large as the 2(n+q) states of a product
+        # with a para-conjugate nominal block is factored; the smoothness
+        # bound, whose Hamiltonians have that size, is taken as given
+        import lqgpo.ss as ss
+        import lqgpo.youla as youla
+
+        L = estimate_smoothness(nom_random8)
+        run_lifted_gradient_descent(nom_random8, iters=1)
+        splits, sizes = [], []
+
+        def split(g, _orig=ss.stable_antistable_split):
+            splits.append(g.n_states)
+            return _orig(g)
+
+        def recorded(A, *args, _orig=scipy.linalg.schur, **kwargs):
+            sizes.append(A.shape[0])
+            return _orig(A, *args, **kwargs)
+
+        monkeypatch.setattr(ss, "stable_antistable_split", split)
+        monkeypatch.setattr(scipy.linalg, "schur", recorded)
+        monkeypatch.setattr(youla, "estimate_smoothness", lambda nom: L)
+        run_lifted_gradient_descent(nom_random8, iters=5)
+        assert splits == []
+        assert sizes
+        assert max(sizes) < 2 * nom_random8.M12.n_states
 
     def test_nominal_blocks_are_their_own_forms(self, nom_random8, factorizations):
         # each block is realized on the closed loop's quasi-triangular T, so
