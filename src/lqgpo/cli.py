@@ -9,6 +9,7 @@ codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import sys
@@ -121,19 +122,25 @@ def _merge_config(config_path, flags: dict, defaults: dict) -> dict:
     return merged
 
 
-def _run_command(body):
+def _exit_codes(command):
     """Uniform exit-code contract: 2 for input errors, 3 for numerical failures.
 
-    numpy's LinAlgError subclasses ValueError, so it is caught first.
+    Applied under the click decorators.  numpy's LinAlgError subclasses
+    ValueError, so it is caught first.
     """
-    try:
-        body()
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(3)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+    return run
 
 
 @click.group()
@@ -151,27 +158,24 @@ def main(verbose):
 @click.option("--order", type=int, default=None, help="Controller order (default: plant order).")
 @click.option("--out-controller", "ctrl_path", required=True, type=click.Path())
 @click.option("--summary", "summary_path", type=click.Path(), default=None)
+@_exit_codes
 def cmd_solve_lqg(plant_path, order, ctrl_path, summary_path):
     """Synthesize the optimal controller for a plant via Riccati equations."""
-
-    def body():
-        plant = _load_plant(plant_path)
-        ctrl = lqg_optimal(plant, order)
-        cost = lqg_cost(close_loop(plant, ctrl))
-        _write_json(ctrl_path, ctrl.to_dict())
-        summary = {
-            "cost": cost,
-            "riccati_residuals": {
-                "control": plant.control_riccati.residual_norm,
-                "filter": plant.filter_riccati.residual_norm,
-            },
-            "order": ctrl.order,
-        }
-        if summary_path:
-            _write_json(summary_path, summary)
-        click.echo(json.dumps(summary, sort_keys=True))
-
-    _run_command(body)
+    plant = _load_plant(plant_path)
+    ctrl = lqg_optimal(plant, order)
+    cost = lqg_cost(close_loop(plant, ctrl))
+    _write_json(ctrl_path, ctrl.to_dict())
+    summary = {
+        "cost": cost,
+        "riccati_residuals": {
+            "control": plant.control_riccati.residual_norm,
+            "filter": plant.filter_riccati.residual_norm,
+        },
+        "order": ctrl.order,
+    }
+    if summary_path:
+        _write_json(summary_path, summary)
+    click.echo(json.dumps(summary, sort_keys=True))
 
 
 @main.command("certify")
@@ -180,18 +184,15 @@ def cmd_solve_lqg(plant_path, order, ctrl_path, summary_path):
 @click.option("--tol-markov", type=float, default=TOL_MARKOV, show_default=True)
 @click.option("--tol-grad", type=float, default=TOL_GRAD, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
+@_exit_codes
 def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
     """Run the global-optimality certificate on a controller."""
-
-    def body():
-        plant = _load_plant(plant_path)
-        ctrl = _load_controller(ctrl_path)
-        payload = certify(plant, ctrl, tol_markov, tol_grad).to_dict()
-        if out_path:
-            _write_json(out_path, payload)
-        click.echo(json.dumps(payload, sort_keys=True))
-
-    _run_command(body)
+    plant = _load_plant(plant_path)
+    ctrl = _load_controller(ctrl_path)
+    payload = certify(plant, ctrl, tol_markov, tol_grad).to_dict()
+    if out_path:
+        _write_json(out_path, payload)
+    click.echo(json.dumps(payload, sort_keys=True))
 
 
 @main.command("optimize")
@@ -202,29 +203,26 @@ def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
 @click.option("--iters", type=click.IntRange(min=0), default=14, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--save-controller", "save_path", type=click.Path(), default=None)
+@_exit_codes
 def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
     """Lifted-space gradient descent from an initial stabilizing controller."""
-
-    def body():
-        plant = _load_plant(plant_path)
-        ctrl0 = _load_controller(ctrl_path)
-        jstar = optimal_cost(plant)
-        nom = build_nominal(plant, ctrl0)
-        records, final_it = run_lifted_gradient_descent(nom, eta=eta, iters=iters)
-        _write_csv(
-            out_path,
-            ["iter", "cost", "rel_error", "grad_norm_U", "q_dyn_order", "wall_ms"],
-            [[rec.iter_index, rec.cost, (rec.cost - jstar) / jstar, rec.grad_norm_u,
-              rec.q_dyn_order, rec.wall_time * 1e3] for rec in records],
-        )
-        if save_path:
-            ctrl_out = assemble_controller(ctrl0, reconstruct_controller_delta(nom, final_it))
-            _write_json(save_path, ctrl_out.to_dict())
-        final = records[-1].cost
-        click.echo(json.dumps({"final_cost": final, "rel_error": (final - jstar) / jstar},
-                              sort_keys=True))
-
-    _run_command(body)
+    plant = _load_plant(plant_path)
+    ctrl0 = _load_controller(ctrl_path)
+    jstar = optimal_cost(plant)
+    nom = build_nominal(plant, ctrl0)
+    records, final_it = run_lifted_gradient_descent(nom, eta=eta, iters=iters)
+    _write_csv(
+        out_path,
+        ["iter", "cost", "rel_error", "grad_norm_U", "q_dyn_order", "wall_ms"],
+        [[rec.iter_index, rec.cost, (rec.cost - jstar) / jstar, rec.grad_norm_u,
+          rec.q_dyn_order, rec.wall_time * 1e3] for rec in records],
+    )
+    if save_path:
+        ctrl_out = assemble_controller(ctrl0, reconstruct_controller_delta(nom, final_it))
+        _write_json(save_path, ctrl_out.to_dict())
+    final = records[-1].cost
+    click.echo(json.dumps({"final_cost": final, "rel_error": (final - jstar) / jstar},
+                          sort_keys=True))
 
 
 @main.command("pg")
@@ -233,19 +231,16 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
 @click.option("--step", type=float, default=10.0, show_default=True)
 @click.option("--iters", type=click.IntRange(min=0), default=14, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
+@_exit_codes
 def cmd_pg(plant_path, ctrl_path, step, iters, out_path):
     """Vanilla policy gradient baseline on the controller parameters."""
-
-    def body():
-        plant = _load_plant(plant_path)
-        ctrl0 = _load_controller(ctrl_path)
-        jstar = optimal_cost(plant)
-        records = policy_gradient_run(plant, ctrl0, step, iters)
-        rows = [[rec.iteration, rec.cost, (rec.cost - jstar) / jstar] for rec in records]
-        _write_csv(out_path, ["iter", "cost", "rel_error"], rows)
-        click.echo(json.dumps({"final_cost": records[-1].cost}, sort_keys=True))
-
-    _run_command(body)
+    plant = _load_plant(plant_path)
+    ctrl0 = _load_controller(ctrl_path)
+    jstar = optimal_cost(plant)
+    records = policy_gradient_run(plant, ctrl0, step, iters)
+    rows = [[rec.iteration, rec.cost, (rec.cost - jstar) / jstar] for rec in records]
+    _write_csv(out_path, ["iter", "cost", "rel_error"], rows)
+    click.echo(json.dumps({"final_cost": records[-1].cost}, sort_keys=True))
 
 
 @main.command("identify")
@@ -261,31 +256,28 @@ def cmd_pg(plant_path, ctrl_path, step, iters, out_path):
 @click.option("--grid-n", type=int, default=200, show_default=True)
 @click.option("--grid-spacing", type=click.Choice(["log", "linear"]), default="log", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
+@_exit_codes
 def cmd_identify(plant_path, ctrl_path, mode, num_deg, den_deg, auto_degrees,
                  grid_lo, grid_hi, grid_n, grid_spacing, out_path):
     """Fit each entry of the perturbation interconnection transfer matrix."""
-
-    def body():
-        plant = _load_plant(plant_path)
-        ctrl0 = _load_controller(ctrl_path)
-        nom = build_nominal(plant, ctrl0)
-        grid = default_grid(grid_n, grid_lo, grid_hi, grid_spacing)
-        if auto_degrees:
-            degrees = {k: (t.num_degree, t.den_degree) for k, t in m22_truths(nom.M22).items()}
-        else:
-            degrees = (num_deg, den_deg)
-        fits = identify_m22(nom.M22, grid, degrees, mode=mode)
-        payload = {
-            "entries": [[_fit_dict(fit) for fit in row] for row in fits],
-            "metadata": _metadata(
-                mode=mode, num_deg=num_deg, den_deg=den_deg,
-                grid={"lo": grid_lo, "hi": grid_hi, "n": grid_n, "spacing": grid_spacing},
-            ),
-        }
-        _write_json(out_path, payload)
-        click.echo(f"wrote {out_path}")
-
-    _run_command(body)
+    plant = _load_plant(plant_path)
+    ctrl0 = _load_controller(ctrl_path)
+    nom = build_nominal(plant, ctrl0)
+    grid = default_grid(grid_n, grid_lo, grid_hi, grid_spacing)
+    if auto_degrees:
+        degrees = {k: (t.num_degree, t.den_degree) for k, t in m22_truths(nom.M22).items()}
+    else:
+        degrees = (num_deg, den_deg)
+    fits = identify_m22(nom.M22, grid, degrees, mode=mode)
+    payload = {
+        "entries": [[_fit_dict(fit) for fit in row] for row in fits],
+        "metadata": _metadata(
+            mode=mode, num_deg=num_deg, den_deg=den_deg,
+            grid={"lo": grid_lo, "hi": grid_hi, "n": grid_n, "spacing": grid_spacing},
+        ),
+    }
+    _write_json(out_path, payload)
+    click.echo(f"wrote {out_path}")
 
 
 @main.command("estimate-s")
@@ -297,37 +289,34 @@ def cmd_identify(plant_path, ctrl_path, mode, num_deg, den_deg, auto_degrees,
 @click.option("--num-deg", type=int, default=2, show_default=True)
 @click.option("--den-deg", type=int, default=3, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
+@_exit_codes
 def cmd_estimate_s(plant_path, ctrl_path, laguerre_order, pole, method, num_deg, den_deg, out_path):
     """Estimate the sensitivity system at the zero iterate via a Laguerre expansion."""
-
-    def body():
-        plant = _load_plant(plant_path)
-        ctrl0 = _load_controller(ctrl_path)
-        nom = build_nominal(plant, ctrl0)
-        basis = LaguerreBasis(pole, laguerre_order)
-        it0 = YoulaIterate.zero(nom)
-        if method == "projection":
-            coeffs = laguerre_project(sensitivity(nom, it0), basis)
-        else:
-            coeffs = laguerre_coeffs_zeroth(nom, it0, basis)
-        grid = default_grid()
-        reduced = [[_fit_dict(None if np.max(np.abs(c)) < 1e-9
-                              else reduce_order(c, basis, num_deg, den_deg, grid)) for c in row]
-                   for row in coeffs]
-        _write_json(
-            out_path,
-            {
-                "laguerre_coefficients": coeffs.tolist(),
-                "reduced_entries": reduced,
-                "metadata": _metadata(
-                    method=method, laguerre_order=laguerre_order, pole=pole,
-                    num_deg=num_deg, den_deg=den_deg,
-                ),
-            },
-        )
-        click.echo(f"wrote {out_path}")
-
-    _run_command(body)
+    plant = _load_plant(plant_path)
+    ctrl0 = _load_controller(ctrl_path)
+    nom = build_nominal(plant, ctrl0)
+    basis = LaguerreBasis(pole, laguerre_order)
+    it0 = YoulaIterate.zero(nom)
+    if method == "projection":
+        coeffs = laguerre_project(sensitivity(nom, it0), basis)
+    else:
+        coeffs = laguerre_coeffs_zeroth(nom, it0, basis)
+    grid = default_grid()
+    reduced = [[_fit_dict(None if np.max(np.abs(c)) < 1e-9
+                          else reduce_order(c, basis, num_deg, den_deg, grid)) for c in row]
+               for row in coeffs]
+    _write_json(
+        out_path,
+        {
+            "laguerre_coefficients": coeffs.tolist(),
+            "reduced_entries": reduced,
+            "metadata": _metadata(
+                method=method, laguerre_order=laguerre_order, pole=pole,
+                num_deg=num_deg, den_deg=den_deg,
+            ),
+        },
+    )
+    click.echo(f"wrote {out_path}")
 
 
 @main.command("estimate-residue")
@@ -337,29 +326,26 @@ def cmd_estimate_s(plant_path, ctrl_path, laguerre_order, pole, method, num_deg,
 @click.option("--radius", type=float, default=1e-5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
+@_exit_codes
 def cmd_estimate_residue(plant_path, ctrl_path, samples, radius, seed, out_path):
     """Monte-Carlo zeroth-order estimate of the masked residue gradient."""
-
-    def body():
-        plant = _load_plant(plant_path)
-        ctrl0 = _load_controller(ctrl_path)
-        nom = build_nominal(plant, ctrl0)
-        it0 = YoulaIterate.zero(nom)
-        estimate = zo_residue_estimate(nom, it0, ZoConfig(radius, samples, seed))
-        truth = reference_residue(nom, it0)
-        denom = np.linalg.norm(truth)
-        rel = float(np.linalg.norm(estimate - truth) / denom) if denom > 0 else 0.0
-        payload = {
-            "estimate": estimate.tolist(),
-            "reference": truth.tolist(),
-            "relative_error": rel,
-            "metadata": _metadata(seed=seed, samples=samples, radius=radius),
-        }
-        if out_path:
-            _write_json(out_path, payload)
-        click.echo(json.dumps({"relative_error": rel}, sort_keys=True))
-
-    _run_command(body)
+    plant = _load_plant(plant_path)
+    ctrl0 = _load_controller(ctrl_path)
+    nom = build_nominal(plant, ctrl0)
+    it0 = YoulaIterate.zero(nom)
+    estimate = zo_residue_estimate(nom, it0, ZoConfig(radius, samples, seed))
+    truth = reference_residue(nom, it0)
+    denom = np.linalg.norm(truth)
+    rel = float(np.linalg.norm(estimate - truth) / denom) if denom > 0 else 0.0
+    payload = {
+        "estimate": estimate.tolist(),
+        "reference": truth.tolist(),
+        "relative_error": rel,
+        "metadata": _metadata(seed=seed, samples=samples, radius=radius),
+    }
+    if out_path:
+        _write_json(out_path, payload)
+    click.echo(json.dumps({"relative_error": rel}, sort_keys=True))
 
 
 def _write_experiment(out_dir, name, result, metadata, t0):
@@ -380,22 +366,19 @@ def _write_experiment(out_dir, name, result, metadata, t0):
 @click.option("--iters", type=int, default=None, help="Iterations [default: 14].")
 @click.option("--plant", "plant_path", type=click.Path(exists=True), default=None,
               help="Override the built-in plant.")
+@_exit_codes
 def cmd_example1(out_dir, config_path, eta, pg_step, iters, plant_path):
     """Escape of a suboptimal stationary point: policy gradient vs lifted descent."""
-
-    def body():
-        cfg = _merge_config(
-            config_path,
-            {"eta": eta, "pg_step": pg_step, "iters": iters},
-            {"eta": 0.1, "pg_step": 10.0, "iters": 14},
-        )
-        t0 = time.perf_counter()
-        plant = _load_plant(plant_path) if plant_path else benchmarks.example1_plant()
-        result = experiments.example1(plant, **cfg)
-        _write_experiment(out_dir, "example1", result,
-                          _metadata(**cfg, optimal_cost=result.optimal_cost), t0)
-
-    _run_command(body)
+    cfg = _merge_config(
+        config_path,
+        {"eta": eta, "pg_step": pg_step, "iters": iters},
+        {"eta": 0.1, "pg_step": 10.0, "iters": 14},
+    )
+    t0 = time.perf_counter()
+    plant = _load_plant(plant_path) if plant_path else benchmarks.example1_plant()
+    result = experiments.example1(plant, **cfg)
+    _write_experiment(out_dir, "example1", result,
+                      _metadata(**cfg, optimal_cost=result.optimal_cost), t0)
 
 
 @main.command("example2")
@@ -405,23 +388,20 @@ def cmd_example1(out_dir, config_path, eta, pg_step, iters, plant_path):
 @click.option("--radius", type=float, default=None, help="Sampling radius [default: 1e-5].")
 @click.option("--laguerre-order", type=int, default=None, help="Max expansion order [default: 15].")
 @click.option("--seed", type=int, default=None, help="Base seed [default: 0].")
+@_exit_codes
 def cmd_example2(out_dir, config_path, n_seeds, radius, laguerre_order, seed):
     """Data-driven estimation accuracy: interconnection fitting, Laguerre
     expansion of the sensitivity system, and zeroth-order residue estimation."""
-
-    def body():
-        cfg = _merge_config(
-            config_path,
-            {"n_seeds": n_seeds, "radius": radius, "laguerre_order": laguerre_order, "seed": seed},
-            {"n_seeds": 5, "radius": 1e-5, "laguerre_order": 15, "seed": 0},
-        )
-        t0 = time.perf_counter()
-        result = experiments.example2(**cfg)
-        metadata = _metadata(**cfg, grid_table1="linear 0.1-100 x200",
-                             grid_reduction="log 0.1-100 x200")
-        _write_experiment(out_dir, "example2", result, metadata, t0)
-
-    _run_command(body)
+    cfg = _merge_config(
+        config_path,
+        {"n_seeds": n_seeds, "radius": radius, "laguerre_order": laguerre_order, "seed": seed},
+        {"n_seeds": 5, "radius": 1e-5, "laguerre_order": 15, "seed": 0},
+    )
+    t0 = time.perf_counter()
+    result = experiments.example2(**cfg)
+    metadata = _metadata(**cfg, grid_table1="linear 0.1-100 x200",
+                         grid_reduction="log 0.1-100 x200")
+    _write_experiment(out_dir, "example2", result, metadata, t0)
 
 
 if __name__ == "__main__":

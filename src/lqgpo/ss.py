@@ -190,15 +190,22 @@ def para_conjugate(g: StateSpace) -> StateSpace:
     return StateSpace(-g.A.T, -g.C.T, g.B.T, g.D.T)
 
 
-def freq_response(g: StateSpace, omega: float) -> np.ndarray:
-    """Evaluate G(j omega) by a direct complex linear solve."""
+def freq_response(g: StateSpace, omega) -> np.ndarray:
+    """Evaluate G(j omega) by a direct complex linear solve.
+
+    omega is one frequency or an array of them; an array gives the responses
+    stacked on a leading axis, from one batched solve.  Raises AxisPoleError
+    when j omega is an eigenvalue of A for any omega given.
+    """
+    w = np.asarray(omega, dtype=float)
     if g.n_states == 0:
-        return g.D.astype(complex)
-    M = 1j * omega * np.eye(g.n_states) - g.A
+        return np.broadcast_to(g.D.astype(complex), w.shape + g.D.shape).copy()
+    M = 1j * w[..., None, None] * np.eye(g.n_states) - g.A
     try:
         X = np.linalg.solve(M, g.B)
     except np.linalg.LinAlgError as exc:
-        raise AxisPoleError(f"j*{omega} is an eigenvalue of A") from exc
+        raise AxisPoleError(f"j*w is an eigenvalue of A for a w in "
+                            f"{np.array2string(w, threshold=8)}") from exc
     return g.C @ X + g.D
 
 
@@ -346,7 +353,8 @@ def minreal(g: StateSpace, tol: float = MINREAL_TOL) -> StateSpace:
 
 def _peak_gain(g: StateSpace, omegas) -> float:
     """Largest sigma_max(G(j w)) over the given frequencies (0 for none)."""
-    return max((np.linalg.norm(freq_response(g, w), 2) for w in omegas), default=0.0)
+    gains = np.linalg.norm(freq_response(g, omegas), 2, axis=(-2, -1))
+    return float(np.max(gains, initial=0.0))
 
 
 def _axis_crossings(g: StateSpace, gamma: float) -> np.ndarray:

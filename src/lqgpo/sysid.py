@@ -1,6 +1,10 @@
 """Data-driven estimation: frequency-response acquisition, rational fitting,
 Laguerre-basis expansion of the sensitivity system, and Monte-Carlo
-zeroth-order estimation of the masked residue.  The zeroth-order estimator
+zeroth-order estimation of the masked residue.  Estimation works on whole
+grids and whole bases: a grid's exact responses come from one batched
+`freq_response` call, a rational fit takes arrays of frequencies, values
+and weights, and all Laguerre coefficients of a system come from one
+Sylvester solve against the block basis chain.  The zeroth-order estimator
 runs on the odd part of the lifted cost, which is linear in the static
 parameter and is measured once from exact cost probes.
 
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import matrix_power
 
+from . import solvers
 from .errors import IdentifiabilityError
-from .ss import RationalScalar, StateSpace, freq_response, h2_inner, parallel, scaled
+from .ss import RationalScalar, StateSpace, _check_h2, freq_response, parallel, scaled
 from .youla import NominalLft, YoulaIterate, lifted_cost
 
 # Sampled responses uniformly below this are declared structurally zero
@@ -26,22 +31,6 @@ from .youla import NominalLft, YoulaIterate, lifted_cost
 STRUCTURAL_ZERO_TOL = 1e-10
 # Amplitude of the cost probes along each Laguerre direction.
 PROBE_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class FreqSample:
-    """One frequency-response measurement: value of G(j omega) with a weight."""
-
-    omega: float
-    value: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-        if not 0 < self.weight < math.inf:
-            raise ValueError(f"weight must be positive and finite, got {self.weight}")
-        object.__setattr__(self, "value", np.atleast_2d(np.asarray(self.value, complex)))
 
 
 def default_grid(n_points: int = 200, lo: float = 0.1, hi: float = 100.0, spacing: str = "log") -> np.ndarray:
@@ -149,34 +138,36 @@ def sine_response(
     return g.C @ X + g.D - (transient[0] + 1j * transient[1])
 
 
-def fit_rational(samples: list[FreqSample], num_deg: int, den_deg: int) -> RationalScalar:
+def fit_rational(omega, values, num_deg: int, den_deg: int, weights=None) -> RationalScalar:
     """Linearized least-squares fit of a scalar rational function.
 
-    Solves min || sum a_k s^k - M(s) (s^n2 + sum b_k s^k) || over the grid
-    with the denominator normalized monic, stacking real and imaginary
-    parts of every weighted sample.  Raises IdentifiabilityError when the
-    design matrix is rank deficient, ValueError for a negative degree.
+    Solves min || sum a_k s^k - M(s) (s^n2 + sum b_k s^k) || over the
+    samples M(j omega) = values (weights 1 unless given) with the
+    denominator normalized monic, stacking real and imaginary parts of
+    every weighted sample.  Raises IdentifiabilityError when the design
+    matrix is rank deficient, ValueError for a negative degree, arrays that
+    are not 1-D of one length, an omega that is not positive, and a weight
+    that is not positive and finite.
     """
     if num_deg < 0 or den_deg < 0:
         raise ValueError(f"degrees must be non-negative, got {num_deg}, {den_deg}")
+    omega = np.asarray(omega, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    weights = np.ones_like(omega) if weights is None else np.asarray(weights, dtype=float)
+    if omega.ndim != 1 or values.shape != omega.shape or weights.shape != omega.shape:
+        raise ValueError("omega, values and weights must be 1-D arrays of one length, got "
+                         f"shapes {omega.shape}, {values.shape}, {weights.shape}")
+    if not np.all(omega > 0):
+        raise ValueError("omega must be positive")
+    if not np.all((weights > 0) & (weights < math.inf)):
+        raise ValueError("weights must be positive and finite")
     n_unknowns = num_deg + 1 + den_deg
-    if len(samples) < num_deg + den_deg + 1:
-        raise IdentifiabilityError(
-            f"need at least {num_deg + den_deg + 1} samples, got {len(samples)}"
-        )
-    rows = []
-    rhs = []
-    for sample in samples:
-        value = complex(sample.value.reshape(-1)[0])
-        s = 1j * sample.omega
-        powers = s ** np.arange(max(num_deg, den_deg) + 1)
-        row = np.concatenate(
-            [powers[: num_deg + 1], -value * powers[:den_deg]]
-        )
-        rows.append(sample.weight * row)
-        rhs.append(sample.weight * value * powers[den_deg])
-    A = np.array(rows)
-    b = np.array(rhs)
+    if omega.size < n_unknowns:
+        raise IdentifiabilityError(f"need at least {n_unknowns} samples, got {omega.size}")
+    powers = (1j * omega)[:, None] ** np.arange(max(num_deg, den_deg) + 1)
+    A = weights[:, None] * np.hstack([powers[:, : num_deg + 1],
+                                      -values[:, None] * powers[:, :den_deg]])
+    b = weights * values * powers[:, den_deg]
     A_real = np.vstack([A.real, A.imag])
     b_real = np.concatenate([b.real, b.imag])
     col_scale = np.linalg.norm(A_real, axis=0)
@@ -209,7 +200,7 @@ def identify_m22(
     """
     grid = np.asarray(list(grid), dtype=float)
     if mode == "direct":
-        responses = np.array([freq_response(g, w) for w in grid])
+        responses = freq_response(g, grid)
     elif mode == "sine":
         responses = np.array([sine_response(g, w) for w in grid])
     else:
@@ -223,8 +214,7 @@ def identify_m22(
                 row.append(None)
                 continue
             n1, n2 = degrees[(i, j)] if isinstance(degrees, dict) else degrees
-            samples = [FreqSample(w, v) for w, v in zip(grid, values)]
-            row.append(fit_rational(samples, n1, n2))
+            row.append(fit_rational(grid, values, n1, n2))
         result.append(row)
     return result
 
@@ -277,15 +267,21 @@ def _entry_subsystem(g: StateSpace, i: int, j: int) -> StateSpace:
 
 def laguerre_project(s_true: StateSpace, basis: LaguerreBasis) -> np.ndarray:
     """Per-entry expansion coefficients <S_ij, phi_k> of a stable strictly
-    proper system; shape (outputs, inputs, order+1)."""
-    out = np.zeros((s_true.n_outputs, s_true.n_inputs, basis.order + 1))
-    funcs = [basis.function(k) for k in range(basis.order + 1)]
-    for i in range(s_true.n_outputs):
-        for j in range(s_true.n_inputs):
-            sub = _entry_subsystem(s_true, i, j)
-            for k, phi in enumerate(funcs):
-                out[i, j, k] = h2_inner(sub, phi)
-    return out
+    proper system; shape (outputs, inputs, order+1).
+
+    All of them come from one Sylvester solve against the block chain
+    kron(I_m, chain) of (A_ch, B_ch): <S_ij, phi_k> = C_i X_j c_k^T, where
+    X = [X_1 .. X_m] solves A X + X A_ch^T + B B_ch^T = 0 and c_k is the
+    chain's k-th output row.  The chain is lower triangular, so A_ch^T is
+    its own Schur form.  Raises UnstableError for an unstable system and
+    ValueError for one with a feedthrough.
+    """
+    _check_h2(s_true, "laguerre_project")
+    chain = basis.chain()
+    eye = np.eye(s_true.n_inputs)
+    block = solvers.schur_form(np.kron(eye, chain.A).T)
+    X = solvers.solve(s_true.form, block, s_true.B @ np.kron(eye, chain.B).T).solution
+    return (s_true.C @ X).reshape(s_true.n_outputs, s_true.n_inputs, -1) @ chain.C.T
 
 
 def laguerre_reconstruct(coeffs: np.ndarray, basis: LaguerreBasis) -> StateSpace:
@@ -360,11 +356,7 @@ def reduce_order(
         [[grid[0]], np.sqrt(grid[:-1] * grid[1:]), [grid[-1]]]
     )
     weights = np.sqrt(np.diff(edges)) / (1.0 + grid**2) ** (den_deg / 2.0)
-    samples = [
-        FreqSample(float(w), freq_response(expansion, float(w)), float(wt))
-        for w, wt in zip(grid, weights)
-    ]
-    return fit_rational(samples, num_deg, den_deg)
+    return fit_rational(grid, freq_response(expansion, grid)[:, 0, 0], num_deg, den_deg, weights)
 
 
 @dataclass(frozen=True)

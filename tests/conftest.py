@@ -24,9 +24,10 @@ def rng():
 
 @pytest.fixture()
 def factorizations(monkeypatch):
-    """Counts of scipy.linalg.schur and numpy.linalg.eigvals calls."""
+    """Counts of scipy.linalg.schur, numpy.linalg.eigvals and numpy.linalg.solve
+    calls."""
     counts = {}
-    for host, name in ((scipy.linalg, "schur"), (np.linalg, "eigvals")):
+    for host, name in ((scipy.linalg, "schur"), (np.linalg, "eigvals"), (np.linalg, "solve")):
         def counted(*args, _orig=getattr(host, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _orig(*args, **kwargs)

@@ -27,6 +27,7 @@ from lqgpo.ss import (
     stable_residue_sum,
     static_gain,
     zero_system,
+    _peak_gain,
 )
 from lqgpo.youla import build_nominal, estimate_smoothness
 
@@ -276,6 +277,36 @@ class TestFreqResponse:
         with pytest.raises(AxisPoleError):
             freq_response(g, 0.0)
 
+    @pytest.mark.parametrize("case", ["dense", "static", "feedthrough"])
+    def test_grid_matches_pointwise_bit_for_bit(self, case):
+        rng = np.random.default_rng(31)
+        g = {
+            "dense": random_stable_ss(rng, 6, 3, 2),
+            "static": static_gain([[0.3, -1.2], [2.0, 0.5]]),
+            "feedthrough": random_stable_ss(rng, 4, 2, 3, proper=True),
+        }[case]
+        grid = np.concatenate([[0.0], np.logspace(-2, 3, 57)])
+        batched = freq_response(g, grid)
+        assert batched.shape == (grid.size, g.n_outputs, g.n_inputs)
+        assert np.array_equal(batched, np.array([freq_response(g, w) for w in grid]))
+
+    def test_grid_is_one_batched_solve(self, factorizations):
+        g = random_stable_ss(np.random.default_rng(32), 5, 2, 2)
+        factorizations.clear()
+        freq_response(g, np.logspace(-1, 2, 40))
+        assert factorizations == {"solve": 1}
+
+    def test_axis_pole_inside_grid(self):
+        # poles at +-2j: the grid's third frequency is one of them
+        g = StateSpace([[0.0, 1.0], [-4.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        with pytest.raises(AxisPoleError):
+            freq_response(g, np.array([0.5, 1.0, 2.0, 3.0]))
+
+    def test_peak_gain_of_no_frequencies_is_zero(self):
+        # hinf_norm_est's single-crossing case: no midpoints to evaluate
+        assert _peak_gain(lag(), np.array([])) == 0.0
+        assert _peak_gain(lag(), []) == 0.0
+
 
 class TestMinreal:
     def test_exact_cancellation(self):
@@ -384,7 +415,8 @@ class TestHinfNorm:
         nom = build_nominal(plant1, ctrl_stationary)
         monkeypatch.setattr(ss_module, "freq_response", counting)
         estimate_smoothness(nom)
-        assert len(calls) <= 50
+        # frequencies evaluated, whether one at a time or as a grid
+        assert sum(np.size(w) for w in calls) <= 50
 
 
 class TestRational:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _reference import M22_ZERO_ENTRIES, sine_response_loop
-from lqgpo.errors import IdentifiabilityError
+from lqgpo.errors import IdentifiabilityError, UnstableError
 from lqgpo.ss import (
     RationalScalar,
     StateSpace,
@@ -19,7 +19,6 @@ from lqgpo.ss import (
     rational_to_ss,
 )
 from lqgpo.sysid import (
-    FreqSample,
     LaguerreBasis,
     ZoConfig,
     default_grid,
@@ -51,8 +50,9 @@ def lag_half():
 
 
 def direct_samples(g, grid):
-    """Noise-free frequency samples of the full response matrix, weight 1."""
-    return [FreqSample(float(w), freq_response(g, float(w))) for w in grid]
+    """The grid and the noise-free response of a SISO system on it."""
+    grid = np.asarray(grid, dtype=float)
+    return grid, freq_response(g, grid)[:, 0, 0]
 
 
 def stepped_reference(g, omega, settle_cycles=20, step=None, **kwargs):
@@ -168,41 +168,41 @@ class TestGridAndSamples:
     @pytest.mark.parametrize("omega", [0.0, float("nan")])
     def test_freq_sample_rejects_non_positive_omega(self, omega):
         with pytest.raises(ValueError, match="omega"):
-            FreqSample(omega, np.array([[1.0 + 0.0j]]))
+            fit_rational([0.5, omega, 2.0], np.ones(3), 0, 0)
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
     def test_freq_sample_rejects_bad_weight(self, weight):
         with pytest.raises(ValueError, match="weight"):
-            FreqSample(1.0, np.array([[1.0 + 0.0j]]), weight)
+            fit_rational([0.5, 1.0, 2.0], np.ones(3), 0, 0, weights=[1.0, weight, 1.0])
+
+    def test_freq_samples_reject_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            fit_rational([0.5, 1.0, 2.0], np.ones(2), 0, 0)
 
 
 class TestFitRational:
     def test_exact_first_order(self):
         grid = np.linspace(0.1, 100, 200)
-        samples = direct_samples(lag_half(), grid)
-        fit = fit_rational(samples, 0, 1)
+        fit = fit_rational(*direct_samples(lag_half(), grid), 0, 1)
         assert fit.num[0] == pytest.approx(1.0, abs=1e-12)
         assert fit.den[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_constant(self):
-        samples = [FreqSample(w, np.array([[1.0 + 0.0j]])) for w in (0.5, 1.0, 2.0)]
-        fit = fit_rational(samples, 0, 0)
+        fit = fit_rational([0.5, 1.0, 2.0], np.ones(3, complex), 0, 0)
         assert fit.num[0] == pytest.approx(1.0)
 
     def test_cubic_entry_accuracy(self, nom_ex2):
         grid = np.linspace(0.1, 100, 200)
         entry = _entry_subsystem(nom_ex2.M22, 0, 0)
-        samples = direct_samples(entry, grid)
-        fit = fit_rational(samples, 2, 3)
+        fit = fit_rational(*direct_samples(entry, grid), 2, 3)
         truth_num = np.array([1.0 / 12.0, 17.0 / 24.0, 13.0 / 12.0])
         truth_den = np.array([5.0 / 12.0, 7.0 / 3.0, 2.0, 1.0])
         assert np.abs(fit.num - truth_num).max() / np.abs(truth_num).max() <= 1e-3
         assert np.abs(fit.den - truth_den).max() / np.abs(truth_den).max() <= 1e-3
 
     def test_needs_enough_samples(self):
-        samples = direct_samples(lag_half(), [1.0])
         with pytest.raises(IdentifiabilityError):
-            fit_rational(samples, 1, 2)
+            fit_rational(*direct_samples(lag_half(), [1.0]), 1, 2)
 
     def test_in_class_recovery_to_machine_precision(self):
         # data generated by a rational function inside the model class is
@@ -215,10 +215,7 @@ class TestFitRational:
             num = rng.normal(size=3)
             truth = RationalScalar(num, den)
             grid = np.logspace(-1.2, 1.2, 40)
-            samples = [
-                FreqSample(w, np.array([[truth(1j * w)]])) for w in grid
-            ]
-            fit = fit_rational(samples, 2, 3)
+            fit = fit_rational(grid, truth(1j * grid), 2, 3)
             scale = np.abs(truth.num).max()
             assert np.abs(fit.num - truth.num).max() <= 1e-8 * scale
             assert np.abs(fit.den - truth.den).max() <= 1e-8
@@ -227,9 +224,8 @@ class TestFitRational:
         # fitting a first-order response with a (2, 3) model is a
         # two-parameter family: unidentifiable
         grid = np.linspace(0.1, 100, 200)
-        samples = direct_samples(lag_half(), grid)
         with pytest.raises(IdentifiabilityError) as info:
-            fit_rational(samples, 2, 3)
+            fit_rational(*direct_samples(lag_half(), grid), 2, 3)
         assert info.value.condition is None or info.value.condition > 0
 
 
@@ -265,6 +261,15 @@ class TestIdentify:
                     truth = freq_response(nom_ex2.M22, w)[i, j]
                     assert abs(fit(1j * w) - truth) <= 1e-3 * max(abs(truth), 1e-3)
 
+    def test_direct_mode_is_one_batched_solve(self, nom_ex2, factorizations):
+        degrees = {
+            (0, 0): (2, 3), (0, 2): (1, 3), (2, 0): (1, 3), (2, 2): (2, 3),
+            (1, 1): (0, 1),
+        }
+        factorizations.clear()
+        identify_m22(nom_ex2.M22, np.linspace(0.1, 100, 200), degrees, mode="direct")
+        assert factorizations == {"solve": 1}
+
     def test_sine_mode_matches_direct(self):
         g = lag_half()
         grid = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
@@ -299,11 +304,42 @@ class TestLaguerre:
         assert np.abs(coeffs[0, 0, 1:]).max() <= 1e-10
 
     def test_projection_factors_each_system_once(self, s0_ex2, factorizations):
-        # one Schur form per entry subsystem and one per basis function
+        # at most the system's own Schur form: the transposed block chain is
+        # triangular, its own form
         factorizations.clear()
         laguerre_project(s0_ex2, LaguerreBasis(1.0, 15))
-        assert factorizations.get("schur", 0) <= s0_ex2.n_outputs * s0_ex2.n_inputs + 16
+        assert factorizations.get("schur", 0) <= 1
         assert "eigvals" not in factorizations
+
+    def test_projection_is_one_sylvester_solve(self, s0_ex2, monkeypatch):
+        import lqgpo.solvers as solvers
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        solve = solvers.solve
+        monkeypatch.setattr(solvers, "solve", counting)
+        laguerre_project(s0_ex2, LaguerreBasis(1.0, 15))
+        assert len(calls) == 1
+
+    def test_projection_matches_entrywise_inner_products(self, s0_ex2):
+        basis = LaguerreBasis(1.0, 15)
+        coeffs = laguerre_project(s0_ex2, basis)
+        for i, j, k in [(0, 0, 0), (0, 2, 7), (2, 2, 15), (1, 1, 3)]:
+            want = h2_inner(_entry_subsystem(s0_ex2, i, j), basis.function(k))
+            assert abs(coeffs[i, j, k] - want) <= 1e-13 * np.abs(coeffs).max()
+
+    def test_projection_rejects_unstable_system(self):
+        unstable = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(UnstableError):
+            laguerre_project(unstable, LaguerreBasis(1.0, 3))
+
+    def test_projection_rejects_feedthrough(self):
+        with pytest.raises(ValueError, match="strictly proper"):
+            laguerre_project(lag_half().with_feedthrough([[1.0]]), LaguerreBasis(1.0, 3))
 
     def test_projection_error_non_increasing(self, s0_ex2):
         basis = LaguerreBasis(1.0, 15)
@@ -368,6 +404,12 @@ class TestReduceOrder:
         fit = reduce_order(coeffs[0, 0], basis, 0, 1, default_grid())
         assert fit.num[0] == pytest.approx(np.sqrt(2.0), abs=1e-8)
         assert fit.den[0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_one_batched_solve(self, factorizations):
+        coeffs = np.linspace(1.0, 0.2, 5)
+        factorizations.clear()
+        reduce_order(coeffs, LaguerreBasis(1.0, 4), 2, 3, default_grid())
+        assert factorizations == {"solve": 1}
 
     def test_benchmark_entry_within_tolerance(self, s0_ex2):
         basis = LaguerreBasis(1.0, 15)
