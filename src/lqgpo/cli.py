@@ -240,7 +240,8 @@ def cmd_pg(plant_path, ctrl_path, step, iters, out_path):
     records = policy_gradient_run(plant, ctrl0, step, iters)
     rows = [[rec.iteration, rec.cost, (rec.cost - jstar) / jstar] for rec in records]
     _write_csv(out_path, ["iter", "cost", "rel_error"], rows)
-    click.echo(json.dumps({"final_cost": records[-1].cost}, sort_keys=True))
+    click.echo(json.dumps({"final_cost": records[-1].cost,
+                           "skipped": sum(rec.skipped for rec in records)}, sort_keys=True))
 
 
 @main.command("identify")

@@ -19,7 +19,7 @@ from . import benchmarks
 from .lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal, policy_gradient_run
 from .ss import StateSpace, h2_norm_sq, minreal, parallel, rational_to_ss, ss_entry_to_rational
 from .sysid import (LaguerreBasis, ZoConfig, _entry_subsystem, default_grid, identify_m22,
-                    laguerre_project, laguerre_reconstruct, reduce_order, zo_residue_estimate)
+                    laguerre_project, reduce_order, zo_residue_estimate)
 from .youla import (NominalLft, YoulaIterate, build_nominal, frechet_gradient,
                     run_lifted_gradient_descent, sensitivity)
 
@@ -144,7 +144,9 @@ def laguerre_errors(nom: NominalLft, order: int) -> LaguerreErrors:
     """(b) Laguerre expansion (pole 1) of the sensitivity system at the zero
     iterate, and fits of degrees (min(2, k), min(3, k + 1)) to each order-k
     expansion on the default log grid; an order-k expansion supports no
-    higher degrees."""
+    higher degrees.  The basis is orthonormal, so an order-k expansion error
+    is read off the coefficients: ||S_ij - S_ij,k||^2 = ||S_ij||^2 - the sum
+    of the first k + 1 squared coefficients."""
     S0 = sensitivity(nom, YoulaIterate.zero(nom))
     coeffs = laguerre_project(S0, LaguerreBasis(1.0, order))
     grid = default_grid()
@@ -156,14 +158,13 @@ def laguerre_errors(nom: NominalLft, order: int) -> LaguerreErrors:
             if nrm_sq < 1e-18:
                 continue
             nrm = np.sqrt(nrm_sq)
-            expansion[(i, j)], reduced[(i, j)] = [], []
-            for k in range(order + 1):
-                basis, c = LaguerreBasis(1.0, k), coeffs[i, j, : k + 1]
-                approx = laguerre_reconstruct(c.reshape(1, 1, -1), basis)
-                expansion[(i, j)].append(_rel_h2_error(sub, approx, nrm))
-                if k:
-                    fit = reduce_order(c, basis, min(2, k), min(3, k + 1), grid)
-                    reduced[(i, j)].append(_rel_h2_error(sub, rational_to_ss(fit), nrm))
+            tail = np.maximum(nrm_sq - np.cumsum(coeffs[i, j] ** 2), 0.0)
+            expansion[(i, j)] = (np.sqrt(tail) / nrm).tolist()
+            reduced[(i, j)] = []
+            for k in range(1, order + 1):
+                fit = reduce_order(coeffs[i, j, : k + 1], LaguerreBasis(1.0, k),
+                                   min(2, k), min(3, k + 1), grid)
+                reduced[(i, j)].append(_rel_h2_error(sub, rational_to_ss(fit), nrm))
     return LaguerreErrors(coeffs, expansion, reduced)
 
 

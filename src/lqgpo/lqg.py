@@ -331,9 +331,14 @@ def lqg_optimal(plant: LqgPlant, order: int | None = None) -> DynController:
 
 @dataclass(frozen=True)
 class PgRecord:
+    """One policy-gradient iterate; skipped marks an iteration whose update
+    still destabilized the loop after PG_MAX_HALVINGS halvings and was
+    dropped."""
+
     iteration: int
     controller: DynController
     cost: float
+    skipped: bool = False
 
 
 def policy_gradient_run(
@@ -346,8 +351,8 @@ def policy_gradient_run(
 
     An update that would destabilize the loop is retried with a halved step
     (per update, up to PG_MAX_HALVINGS); if it still destabilizes, the update
-    is skipped.  Stalling is a valid outcome, not an error.  Raises ValueError
-    unless 0 < step < inf.
+    is skipped and its record says so (PgRecord.skipped).  Stalling is a
+    valid outcome, not an error.  Raises ValueError unless 0 < step < inf.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step size must be positive and finite, got {step}")
@@ -356,7 +361,7 @@ def policy_gradient_run(
     records = [PgRecord(0, ctrl, lqg_cost(cl))]
     for it in range(1, iters + 1):
         gA, gB, gC = lqg_gradient(plant, ctrl, cl)
-        eta = step
+        eta, skipped = step, True
         for _ in range(PG_MAX_HALVINGS + 1):
             cand = DynController(
                 ctrl.A_K - eta * gA, ctrl.B_K - eta * gB, ctrl.C_K - eta * gC
@@ -367,9 +372,9 @@ def policy_gradient_run(
                 # destabilizing or numerically marginal update: halve and retry
                 eta *= 0.5
                 continue
-            ctrl, cl = cand, cl_cand
+            ctrl, cl, skipped = cand, cl_cand, False
             break
-        records.append(PgRecord(it, ctrl, lqg_cost(cl)))
+        records.append(PgRecord(it, ctrl, lqg_cost(cl), skipped))
     return records
 
 
@@ -409,18 +414,30 @@ class LqrProblem:
         return self.A - self.B @ np.atleast_2d(np.asarray(K, dtype=float))
 
 
-def lqr_terms(prob: LqrProblem, K):
-    """Cost, stationarity gap R K - B^T P_K, and the Lyapunov pair Sigma_K,
-    P_K of a stabilizing gain K."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+def _lqr_sigma(prob: LqrProblem, K):
+    """Schur form of the loop, weight Q + K^T R K, Sigma_K and cost
+    tr(Sigma_K (Q + K^T R K)) of a stabilizing gain K: one Schur form and one
+    Lyapunov solve."""
     form = solvers.schur_form(prob.closed_loop(K))
     if not form.is_stable():
         raise UnstableError("gain does not stabilize the loop")
     weight = prob.Q + K.T @ prob.R @ K
-    P = solvers.solve(form, form, weight, trans_a=True).solution
     Sigma = solvers.solve(form, form, np.eye(form.A.shape[0]), trans_b=True).solution
-    cost = float(np.trace(Sigma @ weight))
-    gap = prob.R @ K - prob.B.T @ P
+    return form, weight, Sigma, float(np.trace(Sigma @ weight))
+
+
+def _lqr_gap(prob: LqrProblem, K, form, weight):
+    """Stationarity gap R K - B^T P_K and P_K, from the loop's form."""
+    P = solvers.solve(form, form, weight, trans_a=True).solution
+    return prob.R @ K - prob.B.T @ P, P
+
+
+def lqr_terms(prob: LqrProblem, K):
+    """Cost, stationarity gap R K - B^T P_K, and the Lyapunov pair Sigma_K,
+    P_K of a stabilizing gain K."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    form, weight, Sigma, cost = _lqr_sigma(prob, K)
+    gap, P = _lqr_gap(prob, K, form, weight)
     return cost, gap, Sigma, P
 
 
@@ -451,10 +468,14 @@ def lqr_gradient_descent(
 
     An update that destabilizes the loop or increases the cost is retried
     with a halved step, and the descent ends after LQR_MAX_HALVINGS failed
-    tries; a clean success lets the step grow back.  Stops on the
-    stationarity gap ||R K - B^T P_K|| (LQR_GAP_TOL relative to the gain
-    scale), which certifies optimality directly, rather than on the
-    gradient norm, which can be small while the gap is not.
+    tries; a clean success lets the step grow back.  A candidate gain is
+    priced by the Schur form of its loop, the stability test and Sigma_K
+    alone: a rejected one costs one Schur form and at most one Lyapunov
+    solve, and P_K, hence the gap and the next gradient, is solved only for
+    the accepted one.  Stops on the stationarity gap ||R K - B^T P_K||
+    (LQR_GAP_TOL relative to the gain scale), which certifies optimality
+    directly, rather than on the gradient norm, which can be small while the
+    gap is not.
     """
     K = np.atleast_2d(np.asarray(K0, dtype=float))
     cost, gap, Sigma, _ = lqr_terms(prob, K)
@@ -478,14 +499,13 @@ def lqr_gradient_descent(
         for _ in range(LQR_MAX_HALVINGS):
             cand = K - eta * grad
             try:
-                cand_cost, cand_gap, cand_Sigma, _ = lqr_terms(prob, cand)
+                form, weight, cand_Sigma, cand_cost = _lqr_sigma(prob, cand)
+                if cand_cost <= cost + floor:
+                    gap, _ = _lqr_gap(prob, cand, form, weight)
+                    K, cost, Sigma = cand, cand_cost, cand_Sigma
+                    break
             except (UnstableError, SolverError):
-                eta *= 0.5
-                halved = True
-                continue
-            if cand_cost <= cost + floor:
-                K, cost, gap, Sigma = cand, cand_cost, cand_gap, cand_Sigma
-                break
+                pass
             eta *= 0.5
             halved = True
         else:

@@ -17,11 +17,16 @@ inside a 2 x 2 block, and the halves are solved in turn with a matrix-product
 update of the right-hand side between them.  A Lyapunov equation solves only
 its leading, coupling and trailing blocks and mirrors the coupling block.
 When a form is its own (Z = I), the equation is solved on T directly, without
-the products by Z.  Riccati solutions are polished by Newton-Kleinman."""
+the products by Z.  A form computes the constants its solves read, ||A||_F
+(`SchurForm.norm`) and the spectral radius (`SchurForm.radius`), once, on
+first use, and reads its eigenvalues off T's diagonal, with the 2 x 2 block
+arithmetic only where T has such a block.  Riccati solutions are polished by
+Newton-Kleinman."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -61,6 +66,17 @@ class SchurForm:
         """Every eigenvalue has Re(lambda) < -eps (true when A is empty)."""
         return bool(np.all(self.eigs.real < -eps))
 
+    @cached_property
+    def norm(self) -> float:
+        """||A||_F, computed once per form."""
+        return _fro(self.A)
+
+    @cached_property
+    def radius(self) -> float:
+        """The spectral radius max |lambda|, computed once per form (0 when A
+        is empty)."""
+        return np.abs(self.eigs).max(initial=0.0)
+
     @property
     def own(self) -> bool:
         """A is its own form: T is A and Z = I."""
@@ -74,13 +90,22 @@ def _square(M, name):
     return M
 
 
+def _fro(x) -> float:
+    """||x||_F by the arithmetic of numpy.linalg.norm(x, "fro"), without its
+    argument handling."""
+    x = x.ravel("K")
+    return np.sqrt(x.dot(x))
+
+
 def _form(A, T, Z):
     eigs = np.diag(T).astype(complex)
-    k = np.flatnonzero(np.diagonal(T, -1))  # leading rows of the 2x2 blocks
-    a, b, c, d = T[k, k], T[k, k + 1], T[k + 1, k], T[k + 1, k + 1]
-    re = 0.5 * (a + d)
-    im = np.sqrt(np.maximum(-b * c - 0.25 * (a - d) ** 2, 0.0))
-    eigs[k], eigs[k + 1] = re + 1j * im, re - 1j * im
+    sub = np.diagonal(T, -1)
+    if sub.any():  # T has 2x2 blocks: read their complex pairs
+        k = np.flatnonzero(sub)  # leading rows of the 2x2 blocks
+        a, b, c, d = T[k, k], T[k, k + 1], T[k + 1, k], T[k + 1, k + 1]
+        re = 0.5 * (a + d)
+        im = np.sqrt(np.maximum(-b * c - 0.25 * (a - d) ** 2, 0.0))
+        eigs[k], eigs[k + 1] = re + 1j * im, re - 1j * im
     for arr in (T, Z, eigs):
         arr.setflags(write=False)
     return SchurForm(A, T, Z, eigs)
@@ -217,7 +242,7 @@ def solve(
     if C.size == 0:
         return SolveReport(np.zeros(shape), 0.0)
     gap = np.abs(fa.eigs[:, None] + fb.eigs[None, :]).min()
-    if gap <= 1e-12 * max(1.0, np.abs(fa.eigs).max(), np.abs(fb.eigs).max()):
+    if gap <= 1e-12 * max(1.0, fa.radius, fb.radius):
         raise SolverError("non-unique solution: spectra of op(A) and -op(B) overlap "
                           f"(min |lambda_i + mu_j| = {gap:.3e})")
     F = C if fb.own else C @ fb.Z
@@ -230,13 +255,13 @@ def solve(
     if lyapunov:
         X = 0.5 * (X + X.T)
         AX = A @ X  # X op(A)^T = (op(A) X)^T for the exactly symmetric X
-        residual = np.linalg.norm(AX + AX.T + C, "fro")
-        norm_ab = np.linalg.norm(fa.A, "fro")
+        residual = _fro(AX + AX.T + C)
+        norm_ab = fa.norm
     else:
         B = fb.A.T if trans_b else fb.A
-        residual = np.linalg.norm(A @ X + X @ B + C, "fro")
-        norm_ab = np.linalg.norm(fa.A, "fro") + np.linalg.norm(fb.A, "fro")
-    bound = 1e-10 * (norm_ab * np.linalg.norm(X, "fro") + np.linalg.norm(C, "fro"))
+        residual = _fro(A @ X + X @ B + C)
+        norm_ab = fa.norm + fb.norm
+    bound = 1e-10 * (norm_ab * _fro(X) + _fro(C))
     if not residual <= max(bound, 1e-12):
         raise SolverError(f"residual {residual:.3e} exceeds certified bound {bound:.3e}")
     return SolveReport(X, float(residual))

@@ -4,7 +4,9 @@ closed form, and the lifted sensitivity and cost assembled on the nominal's
 dense realizations, which `youla` replaced by blocks in Schur coordinates:
 the sensitivity once through the reduced weights M12~ M12 and M21 M21~ and
 once as the stable part of the whole product M12~ T M21~, where `youla`
-reads it off the cost map's observability Gramian.
+reads it off the cost map's observability Gramian; and the LQR gradient
+descent that evaluated every candidate gain in full (`lqr_terms`: Sigma_K and
+P_K), where `lqg` solves P_K only for the accepted one.
 
 The optimal-controller matrices are two-decimal reference values; note the
 sign of the second output-gain entry is -0.22, the only sign consistent
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 
+from lqgpo.errors import SolverError, UnstableError
+from lqgpo.lqg import LQR_GAP_TOL, LQR_MAX_HALVINGS, LQR_STEP, lqr_terms
 from lqgpo.ss import h2_norm_sq, minreal, para_conjugate, parallel, series, stable_projection
 from lqgpo.youla import TRUNC_TOL
 
@@ -126,3 +130,48 @@ def sensitivity_projection_dense(nom, it):
     S = stable_projection(series(para_conjugate(nom.M12), series(T, para_conjugate(nom.M21))))
     red = minreal(S, TRUNC_TOL)
     return red if red.is_stable() else S
+
+
+def lqr_gradient_descent_loop(prob, K0, iters=5000):
+    """`lqg.lqr_gradient_descent` with every candidate priced by `lqr_terms`:
+    its cost, gap, Sigma_K and P_K, accepted or not."""
+    K = np.atleast_2d(np.asarray(K0, dtype=float))
+    cost, gap, Sigma, _ = lqr_terms(prob, K)
+    history = [cost]
+    eta = LQR_STEP
+    best = (np.linalg.norm(gap, "fro"), K)
+
+    def converged(gap, K):
+        scale = 1.0 + np.linalg.norm(prob.R @ K, "fro")
+        return np.linalg.norm(gap, "fro") <= LQR_GAP_TOL * scale
+
+    for _ in range(iters):
+        if converged(gap, K):
+            break
+        grad = 2.0 * gap @ Sigma
+        halved = False
+        floor = 1e-14 * (1.0 + abs(cost))
+        for _ in range(LQR_MAX_HALVINGS):
+            cand = K - eta * grad
+            try:
+                cand_cost, cand_gap, cand_Sigma, _ = lqr_terms(prob, cand)
+            except (UnstableError, SolverError):
+                eta *= 0.5
+                halved = True
+                continue
+            if cand_cost <= cost + floor:
+                K, cost, gap, Sigma = cand, cand_cost, cand_gap, cand_Sigma
+                break
+            eta *= 0.5
+            halved = True
+        else:
+            break
+        if not halved:
+            eta = min(eta * 2.0, 1e8 * LQR_STEP)
+        gap_norm = np.linalg.norm(gap, "fro")
+        if gap_norm < best[0]:
+            best = (gap_norm, K)
+        history.append(cost)
+    if not converged(gap, K):
+        K = best[1]
+    return K, history

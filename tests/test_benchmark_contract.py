@@ -4,9 +4,9 @@
 and binds the arguments of `sine_response` and `lqr_gradient_descent` to
 read some parameters by name.  A renamed function or parameter would break
 traced benchmark runs (`perfbench/run.py --trace 1`), so it is pinned here.
-The quick ("toy") rounds of the workloads that run the lifted descent are
-run here too, each job checked by the benchmark's own check, so a change
-that would fail the benchmark fails this suite first.
+The quick ("toy") round of every workload is run here too, each job checked
+by the benchmark's own check, so a change that would fail the benchmark
+fails this suite first.
 """
 
 import importlib.util
@@ -82,7 +82,7 @@ def test_hooks_count_traced_calls(spans):
     assert 1 <= counts["lqg.lqr_gradient_descent.iters"] <= 3
 
 
-@pytest.mark.parametrize("workload", ["lifted-descent", "estimation"])
+@pytest.mark.parametrize("workload", ["lifted-descent", "estimation", "classical"])
 def test_toy_round_passes_the_benchmark_checks(workloads, workload):
     # one round as `perfbench/run.py --size toy` runs it: jobs in order, each
     # check reading the outputs of the jobs before it

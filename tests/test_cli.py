@@ -180,6 +180,16 @@ class TestPg:
         header, rows = read_csv(out)
         assert header == ["iter", "cost", "rel_error"]
         assert len(rows) == 6
+        assert json.loads(result.output)["skipped"] == 0
+
+    def test_reports_skipped_updates(self, runner, io_dir):
+        result = runner.invoke(
+            main, ["pg", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl_ex2.json"),
+                   "--step", "1e8", "--iters", "3", "--out", str(io_dir / "pg.csv")],
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["skipped"] == 2
 
 
 class TestExitCodes:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_plant, random_stabilizing_controller
-from _reference import A_K_STAR, B_K_STAR, C_K_STAR, DISPLAY_TOL
-from lqgpo.errors import UnstableError
+from conftest import MASTER_SEED, random_plant, random_stabilizing_controller
+from _reference import A_K_STAR, B_K_STAR, C_K_STAR, DISPLAY_TOL, lqr_gradient_descent_loop
+from lqgpo import lqg, solvers
+from lqgpo.benchmarks import example1_plant
+from lqgpo.errors import SolverError, UnstableError
 from lqgpo.lqg import (
     DynController,
     LqgPlant,
@@ -167,6 +169,25 @@ class TestPolicyGradient:
         records = policy_gradient_run(plant, ctrl, 1e3, 5)
         assert len(records) == 6  # huge step survives via halving or stalls
 
+    def test_skipped_updates_are_recorded(self, plant1, ctrl_ex2, monkeypatch):
+        # a step of 1e8 is taken once; after it every halving still
+        # destabilizes, so the next two updates are dropped
+        failed = []
+
+        def counted(plant, ctrl):
+            try:
+                return close_loop(plant, ctrl)
+            except (UnstableError, SolverError):
+                failed.append(ctrl)
+                raise
+
+        monkeypatch.setattr(lqg, "close_loop", counted)
+        records = policy_gradient_run(plant1, ctrl_ex2, 1e8, 3)
+        assert [r.skipped for r in records] == [False, False, True, True]
+        assert records[1].cost == records[2].cost == records[3].cost
+        assert records[3].controller is records[1].controller
+        assert len(failed) == 2 * (lqg.PG_MAX_HALVINGS + 1)
+
 
 class TestLqr:
     def scalar_problem(self):
@@ -242,3 +263,75 @@ class TestLqr:
         cost, _ = lqr_cost_grad(prob, K)
         assert cost <= c_opt * (1 + 1e-6)
         assert history[-1] <= history[0] + 1e-12
+
+
+def criterion6_instances(count):
+    """The first `count` problems and starting gains of acceptance criterion 6."""
+    rng = np.random.default_rng(MASTER_SEED + 6)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1, 4))
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, int(rng.integers(1, 3))))
+        try:
+            prob = LqrProblem(A, B, np.eye(n), np.eye(B.shape[1]))
+        except Exception:
+            continue
+        k_opt, _ = lqr_optimal(prob)
+        K0 = k_opt + 0.3 * rng.normal(size=k_opt.shape)
+        try:
+            lqr_cost_grad(prob, K0)
+        except Exception:
+            K0 = k_opt
+        out.append((prob, K0))
+    return out
+
+
+class TestLqrDescentParity:
+    # the descent prices a candidate by Sigma_K alone and solves P_K only for
+    # the accepted one; gains and histories equal those of pricing every
+    # candidate in full, bit for bit
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_criterion6_instances(self, k):
+        prob, K0 = criterion6_instances(k + 1)[k]
+        K, history = lqr_gradient_descent(prob, K0)
+        K_ref, history_ref = lqr_gradient_descent_loop(prob, K0)
+        assert np.array_equal(K, K_ref)
+        assert history == history_ref
+
+    def test_example1_problem(self):
+        plant = example1_plant()
+        prob = LqrProblem(plant.A, plant.B, plant.Q, plant.R)
+        K0 = np.zeros((1, 2))
+        K, history = lqr_gradient_descent(prob, K0, iters=300)
+        K_ref, history_ref = lqr_gradient_descent_loop(prob, K0, iters=300)
+        assert len(history) == 301
+        assert np.array_equal(K, K_ref)
+        assert history == history_ref
+
+    def test_rejected_candidate_costs_one_form_and_one_solve(self, monkeypatch):
+        # A = 1, K0 just above 1: the gradient is about -1e4, so the first
+        # steps overshoot to stable gains of higher cost and are rejected
+        prob = LqrProblem([[1.0]], [[1.0]], np.eye(1), np.eye(1))
+        forms, solves = [], {}
+        schur_form, solve = solvers.schur_form, solvers.solve
+
+        def counted_form(A):
+            form = schur_form(A)
+            forms.append(form)
+            return form
+
+        def counted_solve(fa, fb, C, trans_a=False, trans_b=False):
+            solves[id(fa)] = solves.get(id(fa), 0) + 1
+            return solve(fa, fb, C, trans_a, trans_b)
+
+        monkeypatch.setattr(solvers, "schur_form", counted_form)
+        monkeypatch.setattr(solvers, "solve", counted_solve)
+        K, history = lqr_gradient_descent(prob, [[1.01]], iters=1)
+        per_form = [solves.get(id(form), 0) for form in forms]
+        assert len(history) == 2 and history[1] < history[0]
+        # the start and the accepted candidate: Sigma_K and P_K each; every
+        # rejected candidate in between: Sigma_K only
+        assert per_form[0] == per_form[-1] == 2
+        assert len(per_form) > 2 and per_form[1:-1] == [1] * (len(per_form) - 2)

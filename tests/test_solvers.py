@@ -202,6 +202,45 @@ def test_non_standard_block_is_refactored(block, factorizations):
     np.testing.assert_allclose(form.Z @ form.T @ form.Z.T, A, atol=1e-12)
 
 
+class TestFormConstants:
+    # a form computes ||A||_F and its spectral radius once, for every solve
+    # on it; the values are numpy's, bit for bit
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_norm_and_radius_are_numpys(self, n):
+        A = np.random.default_rng(n).normal(size=(n, n))
+        form = solvers.schur_form(A)
+        assert form.norm == np.linalg.norm(A, "fro")
+        assert form.radius == np.abs(form.eigs).max()
+        assert {"norm", "radius"} <= set(vars(form))  # cached on first use
+
+    def test_empty_form(self):
+        form = solvers.schur_form(np.zeros((0, 0)))
+        assert form.norm == 0.0 and form.radius == 0.0
+
+    def test_frobenius_norm_is_numpys(self):
+        rng = np.random.default_rng(9)
+        M = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-8, 8, size=(7, 5))
+        for x in (M, M.T, np.asfortranarray(M), M[1:, ::2], M[:1], np.zeros((2, 3))):
+            assert solvers._fro(x) == np.linalg.norm(x, "fro")
+
+
+def test_schur_form_refuses_non_finite_input():
+    for bad in (np.nan, np.inf):
+        A = np.triu(np.ones((3, 3)))
+        A[0, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solvers.schur_form(A)
+
+
+def test_trsyl_scaling_is_refused(monkeypatch):
+    exact = solvers.dtrsyl
+    monkeypatch.setattr(solvers, "dtrsyl",
+                        lambda *args, **kwargs: (exact(*args, **kwargs)[0], 0.5, 0))
+    with pytest.raises(SolverError, match="trsyl scale"):
+        lyap_ct(-np.eye(2), np.eye(2))
+
+
 def test_reorder_matches_sorted_schur():
     # reordering a matrix's form gives LAPACK's sorted Schur form bit for bit
     rng = np.random.default_rng(5)

@@ -43,6 +43,7 @@ from lqgpo.youla import (
     sensitivity,
 )
 from lqgpo.lqg import DynController, lqg_optimal
+from lqgpo.experiments import laguerre_errors
 
 
 def lag_half():
@@ -354,6 +355,19 @@ class TestLaguerre:
             errors.append(np.sqrt(max(h2_norm_sq(diff), 0.0)) / nrm)
         assert all(errors[k + 1] <= errors[k] + 1e-12 for k in range(15))
         assert errors[15] <= 0.05
+
+    def test_expansion_errors_read_off_coefficients(self, nom_ex2, s0_ex2):
+        # orthonormal basis: ||S_ij - S_ij,k||^2 = ||S_ij||^2 - sum c_k'^2,
+        # against the H2 norm of the realized difference
+        lag = laguerre_errors(nom_ex2, 15)
+        for (i, j), errors in lag.expansion.items():
+            sub = _entry_subsystem(s0_ex2, i, j)
+            nrm = np.sqrt(h2_norm_sq(sub))
+            for k, err in enumerate(errors):
+                approx = laguerre_reconstruct(lag.coeffs[i, j, : k + 1].reshape(1, 1, -1),
+                                              LaguerreBasis(1.0, k))
+                diff = minreal(parallel(sub, approx, -1))
+                assert err == pytest.approx(np.sqrt(max(h2_norm_sq(diff), 0.0)) / nrm, rel=1e-8)
 
     def test_projection_beats_perturbed_coefficients(self, s0_ex2, rng):
         basis = LaguerreBasis(1.0, 8)
