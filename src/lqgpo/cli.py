@@ -30,6 +30,9 @@ from .youla import (YoulaIterate, assemble_controller, build_nominal, reconstruc
                     run_lifted_gradient_descent, sensitivity)
 
 FLOAT_FMT = "%.12g"
+# Relative gap allowed between a saved controller's closed-loop cost and the
+# final lifted cost it must reproduce.
+SAVE_COST_RTOL = 1e-8
 
 
 def _load_json(path):
@@ -48,11 +51,20 @@ def _load_controller(path) -> DynController:
     return DynController.from_dict(_load_json(path))
 
 
+def _dumps(payload, **kwargs) -> str:
+    """Strict JSON text: JSON has no Infinity or NaN, so a non-finite figure
+    is a numerical failure (exit 3)."""
+    try:
+        return json.dumps(payload, allow_nan=False, sort_keys=True, **kwargs)
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite value in the JSON output: {exc}") from exc
+
+
 def _write_json(path, payload):
+    text = _dumps(payload, indent=2)  # before the file is opened
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -175,7 +187,7 @@ def cmd_solve_lqg(plant_path, order, ctrl_path, summary_path):
     }
     if summary_path:
         _write_json(summary_path, summary)
-    click.echo(json.dumps(summary, sort_keys=True))
+    click.echo(_dumps(summary))
 
 
 @main.command("certify")
@@ -192,7 +204,7 @@ def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
     payload = certify(plant, ctrl, tol_markov, tol_grad).to_dict()
     if out_path:
         _write_json(out_path, payload)
-    click.echo(json.dumps(payload, sort_keys=True))
+    click.echo(_dumps(payload))
 
 
 @main.command("optimize")
@@ -202,7 +214,9 @@ def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
               help="Lifted step size [default: min(0.1, 1.9/L) for the smoothness bound L].")
 @click.option("--iters", type=click.IntRange(min=0), default=14, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--save-controller", "save_path", type=click.Path(), default=None)
+@click.option("--save-controller", "save_path", type=click.Path(), default=None,
+              help="Write the reassembled controller; exit 3 and write nothing unless "
+                   "its closed-loop cost matches the final lifted cost.")
 @_exit_codes
 def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
     """Lifted-space gradient descent from an initial stabilizing controller."""
@@ -211,6 +225,14 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
     jstar = optimal_cost(plant)
     nom = build_nominal(plant, ctrl0)
     records, final_it = run_lifted_gradient_descent(nom, eta=eta, iters=iters)
+    final = records[-1].cost
+    if save_path:
+        # checked before anything is written
+        ctrl_out = assemble_controller(ctrl0, reconstruct_controller_delta(nom, final_it))
+        cost_out = lqg_cost(close_loop(plant, ctrl_out))  # UnstableError: exit 3
+        if not abs(cost_out - final) <= SAVE_COST_RTOL * final:
+            raise ArithmeticError(f"reassembled controller costs {cost_out:.12g}, "
+                                  f"not the final lifted cost {final:.12g}")
     _write_csv(
         out_path,
         ["iter", "cost", "rel_error", "grad_norm_U", "q_dyn_order", "wall_ms"],
@@ -218,11 +240,8 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
           rec.q_dyn_order, rec.wall_time * 1e3] for rec in records],
     )
     if save_path:
-        ctrl_out = assemble_controller(ctrl0, reconstruct_controller_delta(nom, final_it))
         _write_json(save_path, ctrl_out.to_dict())
-    final = records[-1].cost
-    click.echo(json.dumps({"final_cost": final, "rel_error": (final - jstar) / jstar},
-                          sort_keys=True))
+    click.echo(_dumps({"final_cost": final, "rel_error": (final - jstar) / jstar}))
 
 
 @main.command("pg")
@@ -240,8 +259,8 @@ def cmd_pg(plant_path, ctrl_path, step, iters, out_path):
     records = policy_gradient_run(plant, ctrl0, step, iters)
     rows = [[rec.iteration, rec.cost, (rec.cost - jstar) / jstar] for rec in records]
     _write_csv(out_path, ["iter", "cost", "rel_error"], rows)
-    click.echo(json.dumps({"final_cost": records[-1].cost,
-                           "skipped": sum(rec.skipped for rec in records)}, sort_keys=True))
+    click.echo(_dumps({"final_cost": records[-1].cost,
+                       "skipped": sum(rec.skipped for rec in records)}))
 
 
 @main.command("identify")
@@ -346,7 +365,7 @@ def cmd_estimate_residue(plant_path, ctrl_path, samples, radius, seed, out_path)
     }
     if out_path:
         _write_json(out_path, payload)
-    click.echo(json.dumps({"relative_error": rel}, sort_keys=True))
+    click.echo(_dumps({"relative_error": rel}))
 
 
 def _write_experiment(out_dir, name, result, metadata, t0):
@@ -356,7 +375,7 @@ def _write_experiment(out_dir, name, result, metadata, t0):
         _write_csv(out / file_name, header, rows)
     report = {"metadata": metadata, "wall_time_s": time.perf_counter() - t0, **result.summary()}
     _write_json(out / f"{name}_report.json", report)
-    click.echo(json.dumps(report["verdicts"], sort_keys=True))
+    click.echo(_dumps(report["verdicts"]))
 
 
 @main.command("example1")

@@ -19,12 +19,15 @@ form.
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import solvers
 from .errors import AxisPoleError, DimensionError, UnstableError
+
+logger = logging.getLogger(__name__)
 # Minimum distance of eigenvalues from the imaginary axis for the
 # stable/anti-stable split to be well posed.
 EPS_SPLIT = 1e-8
@@ -316,7 +319,9 @@ def _psd_factor(M):
 
 
 def _balanced_truncation_stable(g: StateSpace, tol: float) -> StateSpace:
-    """Square-root balanced truncation of a stable system."""
+    """Square-root balanced truncation of a stable system.  It keeps stability
+    only in exact arithmetic, so a reduced realization that is not stable is
+    discarded and g returned."""
     if g.n_states == 0:
         return g
     (Lc, norm_c), (Lo, norm_o) = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
@@ -333,7 +338,11 @@ def _balanced_truncation_stable(g: StateSpace, tol: float) -> StateSpace:
     s_half = 1.0 / np.sqrt(sv[:r])
     T = Lc @ Vt[:r].T * s_half
     Tinv = (U[:, :r] * s_half).T @ Lo.T
-    return StateSpace(Tinv @ g.A @ T, Tinv @ g.B, g.C @ T, g.D)
+    red = StateSpace(Tinv @ g.A @ T, Tinv @ g.B, g.C @ T, g.D)
+    if red.is_stable():
+        return red
+    logger.debug("discarding marginal truncation (%d states kept)", red.n_states)
+    return g
 
 
 def minreal(g: StateSpace, tol: float = MINREAL_TOL) -> StateSpace:
@@ -341,7 +350,8 @@ def minreal(g: StateSpace, tol: float = MINREAL_TOL) -> StateSpace:
 
     Keeps the Hankel singular values above tol times the largest one; the
     stable and anti-stable parts are reduced separately (the anti-stable part
-    via its mirror image) and re-joined.
+    via its mirror image) and re-joined.  A part whose truncation leaves its
+    side of the axis is kept unreduced, so a stable system stays stable.
     """
     if g.form.is_stable(EPS_SPLIT):
         return _balanced_truncation_stable(g, tol)

@@ -71,20 +71,6 @@ def _on_basis(g: StateSpace, form: SchurForm) -> StateSpace:
     return StateSpace(form.T, form.Z.T @ g.B, g.C @ form.Z, g.D)
 
 
-def _truncate_stable(g: StateSpace) -> StateSpace:
-    """Balanced truncation that never trades strict stability for order.
-
-    The inputs here are stable by construction; if round-off in the reduced
-    realization leaves an eigenvalue at the stability margin, keep the
-    unreduced system for this step instead.
-    """
-    red = minreal(g, TRUNC_TOL)
-    if red.is_stable():
-        return red
-    logger.debug("discarding marginal truncation (%d states kept)", red.n_states)
-    return g
-
-
 @dataclass(frozen=True)
 class NominalLft:
     """Four-block nominal data at a fixed stabilizing controller.
@@ -247,7 +233,7 @@ def _cost_and_sensitivity(nom: NominalLft, it: YoulaIterate) -> tuple[float, Sta
     S = StateSpace(T.A, W @ M21.C.T + T.B @ M21.D.T,
                    M12.B.T @ X[:M12.n_states] + M12.D.T @ T.C,
                    np.zeros((M12.n_inputs, M21.n_outputs)))
-    return cost, _truncate_stable(S)
+    return cost, minreal(S, TRUNC_TOL)
 
 
 def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
@@ -381,8 +367,8 @@ def run_lifted_gradient_descent(
         if k == iters:
             break
         # both terms in their Schur coordinates: the sum is its own form
-        q_next = _truncate_stable(parallel(_on_basis(it.Q_dyn, it.Q_dyn.form),
-                                           scaled(_on_basis(S, S.form), eta), -1))
+        q_next = minreal(parallel(_on_basis(it.Q_dyn, it.Q_dyn.form),
+                                  scaled(_on_basis(S, S.form), eta), -1), TRUNC_TOL)
         it = YoulaIterate(q_next, it.Q_stat - eta * res_mask)
     return records, it
 
@@ -408,8 +394,8 @@ def iterate_from_controller(nom: NominalLft, target: DynController) -> YoulaIter
 def reconstruct_controller_delta(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     """Invert the parameterization: DeltaK = (I + Q M22)^-1 Q with Q = Q_dyn+Q_stat.
 
-    Realized as a feedback interconnection; well-posedness is automatic
-    because M22 is strictly proper.
+    Realized exactly, unreduced, as a feedback interconnection (well posed
+    because M22 is strictly proper); `assemble_controller` reduces.
     """
     it.validate(nom)
     Q = it.combined()
@@ -422,8 +408,7 @@ def reconstruct_controller_delta(nom: NominalLft, it: YoulaIterate) -> StateSpac
     A[nq:, nq:] = M.A - M.B @ Q.D @ M.C
     B = np.vstack([Q.B, M.B @ Q.D])
     C = np.hstack([Q.C, -Q.D @ M.C])
-    D = Q.D
-    return minreal(StateSpace(A, B, C, D))
+    return StateSpace(A, B, C, Q.D)
 
 
 def assemble_controller(ctrl0: DynController, delta: StateSpace) -> DynController:
@@ -433,14 +418,15 @@ def assemble_controller(ctrl0: DynController, delta: StateSpace) -> DynControlle
     output splits into a direct control correction and a filter-state
     correction, and its inputs are the measurement and the filter state.
     The top-left feedthrough block of DeltaK must be zero so the assembled
-    controller remains strictly proper.
+    controller remains strictly proper.  The result is reduced here, once;
+    a DeltaK whose transfer function is zero gives back ctrl0 itself.
     """
     q = ctrl0.order
     m1 = ctrl0.C_K.shape[0]
     m2 = ctrl0.B_K.shape[1]
     if (delta.n_outputs, delta.n_inputs) != (m1 + q, m2 + q):
         raise DimensionError("delta has wrong dimensions for this controller")
-    if delta.n_states == 0 and not np.any(delta.D):
+    if not np.any(delta.D) and not (np.any(delta.B) and np.any(delta.C)):
         return ctrl0
     D = delta.D
     if np.max(np.abs(D[:m1, :m2])) > 1e-9 * max(1.0, np.max(np.abs(D))):

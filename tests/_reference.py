@@ -110,8 +110,7 @@ def sensitivity_dense(nom, it):
     total = parallel(nom.G0, series(left, series(it.combined(), right)), 1)
     S = stable_projection(total)
     S = S.with_feedthrough(np.zeros((S.n_outputs, S.n_inputs)))
-    red = minreal(S, TRUNC_TOL)
-    return red if red.is_stable() else S
+    return minreal(S, TRUNC_TOL)
 
 
 def lifted_cost_dense(nom, it):
@@ -123,13 +122,13 @@ def lifted_cost_dense(nom, it):
 def sensitivity_projection_dense(nom, it):
     """The stable part of M12~ T M21~, T = M11 + M12 Q M21 realized as in
     `lifted_cost_dense`, from the sorted Schur form of the whole product and
-    truncated the way `youla._truncate_stable` does: the sensitivity system
+    truncated as the descent truncates S, by `minreal` at `TRUNC_TOL`, whose
+    truncation never leaves a stable system unstable: the sensitivity system
     from its definition, without the Gramian identity of `youla.sensitivity`."""
     T = parallel(nom.M11, series(nom.M12, series(it.combined(), nom.M21)), 1)
     T = T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs)))
     S = stable_projection(series(para_conjugate(nom.M12), series(T, para_conjugate(nom.M21))))
-    red = minreal(S, TRUNC_TOL)
-    return red if red.is_stable() else S
+    return minreal(S, TRUNC_TOL)
 
 
 def lqr_gradient_descent_loop(prob, K0, iters=5000):

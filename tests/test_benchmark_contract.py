@@ -6,10 +6,12 @@ read some parameters by name.  A renamed function or parameter would break
 traced benchmark runs (`perfbench/run.py --trace 1`), so it is pinned here.
 The quick ("toy") round of every workload is run here too, each job checked
 by the benchmark's own check, so a change that would fail the benchmark
-fails this suite first.
+fails this suite first, and so is its traced replay, with the tracer's
+self-checks.
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +41,18 @@ def spans():
 @pytest.fixture(scope="module")
 def workloads():
     return _load("workloads")
+
+
+@pytest.fixture(scope="module")
+def run():
+    # run.py pins BLAS threads in os.environ when imported; keep this
+    # process's environment as it was
+    env = dict(os.environ)
+    try:
+        return _load("run")
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
 
 
 def _wrapped(spans):
@@ -83,12 +97,27 @@ def test_hooks_count_traced_calls(spans):
 
 
 @pytest.mark.parametrize("workload", ["lifted-descent", "estimation", "classical"])
-def test_toy_round_passes_the_benchmark_checks(workloads, workload):
+def test_toy_round_passes_the_benchmark_checks(run, spans, workloads, workload):
     # one round as `perfbench/run.py --size toy` runs it: jobs in order, each
-    # check reading the outputs of the jobs before it
+    # check reading the outputs of the jobs before it.  Then the self-checks
+    # of its `--trace 1` replay: the round traced (twice here) gives the same
+    # outputs, spans nest in their parents and counts repeat.  The limit on a
+    # job's time left uncovered by its spans is not checked: millisecond toy
+    # jobs cross it by timing noise alone.
     jobs = workloads.WORKLOADS[workload].make_round(np.random.default_rng(1), "toy")
-    done = {}
-    for job in jobs:
-        out = job.run(done)
-        assert job.check(out, done) == [], job.name
-        done[job.name] = out
+    untraced = run.run_round(jobs, 0)
+    assert [(x.job.name, x.failures) for x in untraced] == [(job.name, []) for job in jobs]
+    counters = []
+    for _ in range(2):
+        tracer = spans.Tracer()
+        try:
+            tracer.install(extra=[workloads])
+            traced = run.run_round(jobs, 0, tracer)
+        finally:
+            tracer.uninstall()
+        for a, b in zip(untraced, traced, strict=True):
+            assert b.failures == [], b.job.name
+            assert run.plain(b.out) == run.plain(a.out), a.job.name
+        assert tracer.nesting_violations() == 0
+        counters.append(tracer.counters)
+    assert counters[0] and counters[0] == counters[1]

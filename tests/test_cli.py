@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from lqgpo import cli
 from lqgpo.benchmarks import example1_plant, example2_controller, stationary_controller
 from lqgpo.cli import main
+from lqgpo.lqg import DynController, LqgPlant, lqg_optimal
 
 
 @pytest.fixture()
@@ -108,6 +109,32 @@ class TestCertify:
         )
         assert json.loads(st.output)["verdict"] == "stationary_not_optimal"
 
+    def test_non_finite_figure_exits_3_without_output(self, runner, tmp_path):
+        # a stiff plant, time scales 0.1 to 1e4: the raw Markov norms of its
+        # Riccati optimum overflow to inf for the last 4 of 48 indices, and
+        # JSON has no Infinity
+        n = 24
+        rng = np.random.default_rng(7 + n)
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = -U @ np.diag(np.logspace(-1, 4, n)) @ U.T
+        B, C = rng.normal(size=(n, 2)), rng.normal(size=(2, n))
+
+        def spd(k):
+            M = rng.normal(size=(k, k))
+            return M @ M.T / k + 0.5 * np.eye(k)
+
+        plant = LqgPlant(A, B, C, spd(n), spd(2), spd(n), spd(2))
+        (tmp_path / "stiff.json").write_text(json.dumps(plant.to_dict()))
+        (tmp_path / "kstar.json").write_text(json.dumps(lqg_optimal(plant).to_dict()))
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["certify", "--plant", str(tmp_path / "stiff.json"),
+                   "--controller", str(tmp_path / "kstar.json"), "--out", str(out)],
+        )
+        assert result.exit_code == 3
+        assert "Infinity" not in result.stdout
+        assert not out.exists()
+
     def test_non_stabilizing_controller_exits_3(self, runner, io_dir):
         bad = io_dir / "unstable.json"
         bad.write_text(json.dumps({
@@ -166,6 +193,38 @@ class TestOptimize:
         saved_ctrl = json.loads(saved.read_text())
         original = json.loads((io_dir / "ctrl.json").read_text())
         assert saved_ctrl == original
+
+
+    def test_saved_controller_certifies_after_long_descent(self, runner, io_dir):
+        # 200 iterations from the example-2 controller, where a truncation of
+        # the reassembled controller can lose its stability
+        saved = io_dir / "k200.json"
+        result = runner.invoke(
+            main, ["optimize", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl_ex2.json"), "--iters", "200",
+                   "--out", str(io_dir / "run200.csv"), "--save-controller", str(saved)],
+        )
+        assert result.exit_code == 0
+        cert = runner.invoke(
+            main, ["certify", "--plant", str(io_dir / "plant.json"), "--controller", str(saved)],
+        )
+        assert cert.exit_code == 0, cert.output
+
+    @pytest.mark.parametrize("assembled", [
+        DynController(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2))),
+        stationary_controller(),
+    ], ids=["destabilizing", "wrong_cost"])
+    def test_unfaithful_controller_exits_3_unsaved(self, runner, io_dir, monkeypatch, assembled):
+        monkeypatch.setattr(cli, "assemble_controller", lambda ctrl0, delta: assembled)
+        saved, out = io_dir / "bad.json", io_dir / "run.csv"
+        result = runner.invoke(
+            main, ["optimize", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl.json"), "--iters", "3",
+                   "--out", str(out), "--save-controller", str(saved)],
+        )
+        assert result.exit_code == 3
+        assert not saved.exists()
+        assert not out.exists()
 
 
 class TestPg:

@@ -160,7 +160,9 @@ def test_psd_sqrt():
 def test_one_schur_form_per_matrix(call, plant1, ctrl_opt, factorizations):
     # close_loop and lqr_terms take the stability check, P and Sigma from one
     # form of the loop matrix; h2_norm_sq its check and Gramian; balanced
-    # truncation of a stable system both Gramians.
+    # truncation of a stable system both Gramians.  The truncation's stability
+    # guard factors the reduced matrix once, and the reduced system keeps that
+    # form: its stability check, poles and H2 norm factor nothing more.
     prob = LqrProblem(plant1.A, plant1.B, plant1.Q, plant1.R)
     K, _ = lqr_optimal(prob)
     g = performance_realization(close_loop(plant1, ctrl_opt))
@@ -171,8 +173,16 @@ def test_one_schur_form_per_matrix(call, plant1, ctrl_opt, factorizations):
         "minreal": lambda: minreal(g),
     }[call]
     factorizations.clear()
-    run()
-    assert factorizations == {"schur": 1}
+    out = run()
+    if call != "minreal":
+        assert factorizations == {"schur": 1}
+        return
+    assert out.n_states and out is not g
+    assert factorizations == {"schur": 2}
+    assert out.is_stable()
+    assert out.poles().real.max() < 0
+    h2_norm_sq(out)
+    assert factorizations == {"schur": 2}
 
 
 def test_quasi_triangular_is_its_own_form(factorizations):
@@ -339,7 +349,9 @@ BIG = StateSpace(_BIG_RNG.normal(size=(_BIG_N, _BIG_N)) / np.sqrt(_BIG_N) - 2.0 
 
 
 def test_one_schur_form_per_system(factorizations):
-    # every query on a system reads the Schur form it keeps
+    # every query on a system reads the Schur form it keeps; minreal's
+    # reduced system is a second system, whose one form its stability guard
+    # computes and every later query reads
     g = StateSpace([[-1.0, 1.0, 0.0], [-2.0, -1.0, 0.5], [0.0, 0.3, -3.0]],
                    [[1.0], [0.0], [1.0]], [[1.0, 0.0, 2.0]], [[0.0]])
     factorizations.clear()
@@ -348,8 +360,16 @@ def test_one_schur_form_per_system(factorizations):
     gramian_ctrb(g)
     gramian_obsv(g)
     h2_norm_sq(g)
-    minreal(g)
     assert factorizations == {"schur": 1}
+    red = minreal(g)
+    assert red is not g
+    assert factorizations == {"schur": 2}
+    assert red.is_stable()
+    assert red.poles().real.max() < 0
+    gramian_ctrb(red)
+    gramian_obsv(red)
+    h2_norm_sq(red)
+    assert factorizations == {"schur": 2}
 
 
 @pytest.mark.parametrize("call", [

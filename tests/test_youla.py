@@ -8,7 +8,7 @@ from conftest import (MASTER_SEED, freq_response_fast, random_plant, random_spd,
                       random_stabilizing_controller, random_stable_ss)
 from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, lifted_cost_dense,
                         sensitivity_dense, sensitivity_projection_dense)
-from lqgpo.certificate import build_certificate_matrices
+from lqgpo.certificate import Verdict, build_certificate_matrices, certify
 from lqgpo.lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal, perturbation_channels
 from lqgpo.solvers import psd_sqrt
 from lqgpo.ss import (
@@ -411,10 +411,14 @@ class TestSchurCoordinates:
 
 
 class TestReconstruction:
-    def test_zero_iterate_gives_zero_delta(self, nom_ex2):
+    def test_zero_iterate_gives_zero_delta(self, nom_ex2, ctrl_ex2):
+        # the exact, unreduced DeltaK keeps M22's states, but its transfer
+        # function is zero, and assembling it gives back the base controller
         delta = reconstruct_controller_delta(nom_ex2, YoulaIterate.zero(nom_ex2))
-        assert delta.n_states == 0
         assert not np.any(delta.D)
+        assert not np.any(delta.B) or not np.any(delta.C)
+        assert not np.any(freq_response(delta, np.array([0.0, 0.3, 1.0, 10.0])))
+        assert assemble_controller(ctrl_ex2, delta) is ctrl_ex2
 
     def test_round_trip_through_known_controller(self, nom_stationary, plant1, rng):
         target = random_stabilizing_controller(rng, plant1)
@@ -433,6 +437,53 @@ class TestReconstruction:
         ctrl_new = assemble_controller(nom_stationary.ctrl0, delta)
         j_new = lqg_cost(close_loop(plant1, ctrl_new))
         assert j_new == pytest.approx(records[-1].cost, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def long_descents(plant1, ctrl_ex2, ctrl_stationary):
+    """Descents at the certified default step, long enough that a truncation
+    of the reassembled controller can lose its stability: (start, iters) ->
+    (nominal, records, final iterate)."""
+    starts = {"ex2": ctrl_ex2, "stationary": ctrl_stationary}
+    out = {}
+    for start, iters in (("ex2", 200), ("ex2", 400), ("stationary", 400)):
+        nom = build_nominal(plant1, starts[start])
+        out[start, iters] = (nom, *run_lifted_gradient_descent(nom, iters=iters))
+    return out
+
+
+def _reassembled(descent):
+    nom, _, final_it = descent
+    return assemble_controller(nom.ctrl0, reconstruct_controller_delta(nom, final_it))
+
+
+class TestLongDescent:
+    @pytest.mark.parametrize("iters", [200, 400])
+    def test_reassembled_controller_stabilizes_at_the_lifted_cost(self, plant1, long_descents,
+                                                                  iters):
+        descent = long_descents["ex2", iters]
+        cost = lqg_cost(close_loop(plant1, _reassembled(descent)))  # raises if unstable
+        assert cost == pytest.approx(descent[1][-1].cost, rel=1e-8)
+
+    @pytest.mark.parametrize("start", ["ex2", "stationary"])
+    def test_reassembled_controller_certifies_globally_optimal(self, plant1, long_descents,
+                                                               start):
+        ctrl = _reassembled(long_descents[start, 400])
+        assert certify(plant1, ctrl).verdict is Verdict.GLOBALLY_OPTIMAL
+
+    def test_minreal_keeps_the_unreduced_controller_stable(self, long_descents, monkeypatch):
+        # the stable 14-state controller that the 400-iteration reassembly
+        # reduces; its unguarded balanced truncation kept 7 states, two of
+        # them in the right half-plane
+        import lqgpo.youla as youla
+
+        monkeypatch.setattr(youla, "minreal", lambda g, *args, **kwargs: g)
+        full = _reassembled(long_descents["ex2", 400])
+        monkeypatch.undo()
+        g = StateSpace(full.A_K, full.B_K, full.C_K, np.zeros((1, 1)))
+        assert g.n_states == 14
+        assert g.is_stable()
+        assert minreal(g).is_stable()
 
 
 class TestAssemble:
