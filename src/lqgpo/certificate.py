@@ -1,36 +1,34 @@
 """Global-optimality certificate for dynamic output-feedback controllers.
 
-A stabilizing controller is globally optimal iff a specially constructed
-closed-loop transfer function vanishes identically; by Cayley-Hamilton this
-reduces to n+q Markov parameters being zero.  The module assembles the
-constant blocks of that transfer function, runs the finite Markov test,
-and reports the auxiliary rank and definiteness diagnostics that give
-sufficient conditions of the same flavor.
-
-Block convention: the constant matrices enter the product with the full
-weights V and R (not their square roots); the square roots appearing in the
-noise/performance channels get squared when the para-conjugate factors are
-composed.  This is the form that provably annihilates at the Riccati
-optimum, which the test suite checks.
+A stabilizing controller is globally optimal iff the certificate transfer
+function Cterm (sI - Acl)^-1 Bterm vanishes identically; by Cayley-Hamilton
+this reduces to its first n+q Markov parameters being zero.  Its blocks
+(`lqg.build_certificate_matrices`) are the one source of both verdicts: the
+first Markov parameter, with its structural-zero block dropped, is half the
+cost gradient (the stationarity test), and one overflow-free pass over the
+Markov sequence is the optimality test.  The module also reports the
+auxiliary rank and definiteness diagnostics that give sufficient conditions
+of the same flavor.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lqg import (
+    CertificateMatrices,
     ClosedLoop,
     DynController,
     LqgPlant,
     LqrProblem,
+    build_certificate_matrices,
     close_loop,
     lqg_cost,
-    lqg_gradient,
     lqr_terms,
-    perturbation_channels,
 )
 
 TOL_GRAD = 1e-6
@@ -45,72 +43,47 @@ class Verdict(enum.Enum):
     NOT_STATIONARY = "not_stationary"
 
 
-@dataclass(frozen=True)
-class CertificateMatrices:
-    """Constant blocks of the optimality transfer function.
+def _markov_norms(
+    C: np.ndarray, A: np.ndarray, B: np.ndarray, count: int
+) -> tuple[list[float], list[float]]:
+    """Raw and normalized Frobenius norms of C A^i B for i = 0..count-1.
 
-    Cterm (sI - Acl)^-1 Bterm must vanish identically for global optimality;
-    Cterm = C1 - B1 P and Bterm = B0 - Sigma C0.
+    The pass runs on the scaled powers (A/a)^i B/b, a = ||A||_2 and
+    b = ||B||_F, none of whose norms exceeds 1, so no product overflows.  The
+    normalized norm is ||C (A/a)^i B/b||_F / c, c = ||C||_F, that is
+    ||C A^i B|| / (c a^i b), and 0 when c or b is.  The raw norm is the
+    normalized one times c b a^i, carried as mantissa and exponent: 0
+    wherever the normalized one is, and inf only past the floating range.
     """
-
-    B0: np.ndarray
-    C0: np.ndarray
-    B1: np.ndarray
-    C1: np.ndarray
-    Cterm: np.ndarray
-    Bterm: np.ndarray
-
-
-def build_certificate_matrices(
-    plant: LqgPlant, ctrl: DynController, cl: ClosedLoop
-) -> CertificateMatrices:
-    n, q = cl.n, cl.q
-    m1, m2 = plant.n_inputs, plant.n_outputs
-    B0 = np.zeros((n + q, m2 + q))
-    B0[n:, :m2] = ctrl.B_K @ plant.V
-    B_p, C_p = perturbation_channels(plant, q)
-    # row-major like the other blocks: a product's rounding depends on the layout
-    C0, B1 = np.ascontiguousarray(-C_p.T), np.ascontiguousarray(-B_p.T)
-    C1 = np.zeros((m1 + q, n + q))
-    C1[:m1, n:] = plant.R @ ctrl.C_K
-    Cterm = C1 - B1 @ cl.P
-    Bterm = B0 - cl.Sigma @ C0
-    return CertificateMatrices(B0, C0, B1, C1, Cterm, Bterm)
-
-
-def _markov_norms(C: np.ndarray, A: np.ndarray, B: np.ndarray, count: int) -> list[float]:
-    """Frobenius norms of C A^i B for i = 0..count-1."""
-    norms = []
-    M = B
+    c, b = float(np.linalg.norm(C, "fro")), float(np.linalg.norm(B, "fro"))
+    if not (c > 0 and b > 0):
+        return [0.0] * count, [0.0] * count
+    a = float(np.linalg.norm(A, 2))
+    A_scaled, M = A / a, B / b
+    (mc, ec), (mb, eb), (ma, ea) = math.frexp(c), math.frexp(b), math.frexp(a)
+    mant, expo = mc * mb, ec + eb  # c b a^i = mant 2^expo
+    raw, normalized = [], []
     for _ in range(count):
-        norms.append(float(np.linalg.norm(C @ M, "fro")))
-        M = A @ M
-    return norms
+        value = float(np.linalg.norm(C @ M, "fro")) / c
+        normalized.append(value)
+        try:
+            raw.append(math.ldexp(value * mant, expo))
+        except OverflowError:
+            raw.append(math.inf)
+        mant, e = math.frexp(mant * ma)
+        expo += e + ea
+        M = A_scaled @ M
+    return raw, normalized
 
 
-def markov_test(cm: CertificateMatrices, Acl: np.ndarray, count: int) -> list[float]:
-    """Frobenius norms of Cterm Acl^i Bterm for i = 0..count-1.
+def markov_test(cm: CertificateMatrices, Acl: np.ndarray, count: int) -> tuple[list, list]:
+    """Raw and normalized Frobenius norms of Cterm Acl^i Bterm for
+    i = 0..count-1 (`_markov_norms`).
 
-    All of them vanishing is equivalent to the optimality transfer function
+    All of them vanishing is equivalent to the certificate transfer function
     being identically zero.
     """
     return _markov_norms(cm.Cterm, Acl, cm.Bterm, count)
-
-
-def normalized_markov(cm: CertificateMatrices, Acl: np.ndarray, count: int) -> list[float]:
-    """Markov norms divided by ||Cterm|| ||Acl||^i ||Bterm|| (0/0 -> 0)."""
-    return _normalize(cm, Acl, markov_test(cm, Acl, count))
-
-
-def _normalize(cm: CertificateMatrices, Acl: np.ndarray, raw: list[float]) -> list[float]:
-    c_scale = np.linalg.norm(cm.Cterm, "fro")
-    b_scale = np.linalg.norm(cm.Bterm, "fro")
-    a_scale = np.linalg.norm(Acl, 2)
-    out = []
-    for i, value in enumerate(raw):
-        denom = c_scale * (a_scale**i) * b_scale
-        out.append(float(value / denom) if denom > 0 else 0.0)
-    return out
 
 
 def rank_condition_check(cl: ClosedLoop, grad_is_zero: bool) -> tuple[int, int, bool]:
@@ -197,12 +170,11 @@ def certify(
         raise ValueError(f"tolerances must be finite and >= 0, got {tol_markov}, {tol_grad}")
     cl = close_loop(plant, ctrl)
     cost = lqg_cost(cl)
-    grads = lqg_gradient(plant, ctrl, cl)
-    grad_norm = float(np.sqrt(sum(np.linalg.norm(g, "fro") ** 2 for g in grads)))
     cm = build_certificate_matrices(plant, ctrl, cl)
-    count = cl.n + cl.q
-    raw = markov_test(cm, cl.Acl, count)
-    normalized = _normalize(cm, cl.Acl, raw)
+    first = cm.Cterm @ cm.Bterm  # without its structural zero, half the gradient
+    first[: plant.n_inputs, : plant.n_outputs] = 0.0
+    grad_norm = 2.0 * float(np.linalg.norm(first, "fro"))
+    raw, normalized = markov_test(cm, cl.Acl, cl.n + cl.q)
     stationary = grad_norm <= tol_grad * (1.0 + abs(cost))
     if not stationary:
         verdict = Verdict.NOT_STATIONARY
@@ -245,7 +217,7 @@ def lqr_certificate(prob: LqrProblem, K) -> LqrCertificate:
     TOL_MARKOV (1 + ||B^T P_K||)."""
     _, gap, Sigma, P = lqr_terms(prob, K)
     Acl = prob.closed_loop(K)
-    norms = _markov_norms(gap, Acl, Sigma, Acl.shape[0])
+    norms, _ = _markov_norms(gap, Acl, Sigma, Acl.shape[0])
     gap_norm = float(np.linalg.norm(gap, "fro"))
     sigma_min = float(np.linalg.eigvalsh(Sigma).min())
     return LqrCertificate(

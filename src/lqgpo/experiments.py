@@ -17,7 +17,7 @@ import numpy as np
 
 from . import benchmarks
 from .lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal, policy_gradient_run
-from .ss import StateSpace, h2_norm_sq, minreal, parallel, rational_to_ss, ss_entry_to_rational
+from .ss import StateSpace, h2_norm_sq, parallel, rational_to_ss, ss_entry_to_rational
 from .sysid import (LaguerreBasis, ZoConfig, _entry_subsystem, default_grid, identify_m22,
                     laguerre_project, reduce_order, zo_residue_estimate)
 from .youla import (NominalLft, YoulaIterate, build_nominal, frechet_gradient,
@@ -137,7 +137,7 @@ class LaguerreErrors:
 
 
 def _rel_h2_error(sub: StateSpace, approx: StateSpace, nrm: float) -> float:
-    return np.sqrt(max(h2_norm_sq(minreal(parallel(sub, approx, -1))), 0.0)) / nrm
+    return np.sqrt(h2_norm_sq(parallel(sub, approx, -1))) / nrm
 
 
 def laguerre_errors(nom: NominalLft, order: int) -> LaguerreErrors:

@@ -1,6 +1,6 @@
 """LQG problem objects: plant, dynamic output-feedback controller, closed
-loop, cost and analytic gradients, Riccati synthesis, the vanilla
-policy-gradient baseline, and the state-feedback (LQR) special case.
+loop, cost, the certificate matrices and the gradient they carry, Riccati
+synthesis, the policy-gradient baseline, and the state-feedback (LQR) case.
 
 Conventions
 -----------
@@ -284,21 +284,52 @@ def lqg_cost(cl: ClosedLoop) -> float:
     return primal
 
 
+@dataclass(frozen=True)
+class CertificateMatrices:
+    """Constant blocks of the certificate transfer function Cterm (sI -
+    Acl)^-1 Bterm, Cterm = C1 - B1 P and Bterm = B0 - Sigma C0, which vanishes
+    identically exactly at a global optimum.  B0 and C1 carry the full
+    weights V and R.  The first Markov parameter Cterm Bterm is laid out like
+    the packed controller; without its structural-zero top-left block, twice
+    it is the cost gradient (`lqg_gradient`)."""
+
+    B0: np.ndarray
+    C0: np.ndarray
+    B1: np.ndarray
+    C1: np.ndarray
+    Cterm: np.ndarray
+    Bterm: np.ndarray
+
+
+def build_certificate_matrices(
+    plant: LqgPlant, ctrl: DynController, cl: ClosedLoop
+) -> CertificateMatrices:
+    n, q = cl.n, cl.q
+    m1, m2 = plant.n_inputs, plant.n_outputs
+    B0 = np.zeros((n + q, m2 + q))
+    B0[n:, :m2] = ctrl.B_K @ plant.V
+    B_p, C_p = perturbation_channels(plant, q)
+    # row-major like the other blocks: a product's rounding depends on the layout
+    C0, B1 = np.ascontiguousarray(-C_p.T), np.ascontiguousarray(-B_p.T)
+    C1 = np.zeros((m1 + q, n + q))
+    C1[:m1, n:] = plant.R @ ctrl.C_K
+    Cterm = C1 - B1 @ cl.P
+    Bterm = B0 - cl.Sigma @ C0
+    return CertificateMatrices(B0, C0, B1, C1, Cterm, Bterm)
+
+
 def lqg_gradient(
     plant: LqgPlant, ctrl: DynController, cl: ClosedLoop | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic cost gradients with respect to (A_K, B_K, C_K)."""
+    """Cost gradients with respect to (A_K, B_K, C_K): the blocks of
+    2 Cterm Bterm, the certificate's first Markov parameter, where the packed
+    controller holds A_K, B_K and C_K."""
     if cl is None:
         cl = close_loop(plant, ctrl)
-    n = cl.n
-    P1, P2 = cl.P[:n, :], cl.P[n:, :]
-    S1, S2 = cl.Sigma[:n, :], cl.Sigma[n:, :]
-    P22 = cl.P[n:, n:]
-    S22 = cl.Sigma[n:, n:]
-    gA = 2.0 * (P2 @ S2.T)
-    gB = 2.0 * (P22 @ ctrl.B_K @ plant.V + P2 @ S1.T @ plant.C.T)
-    gC = 2.0 * (plant.R @ ctrl.C_K @ S22 + plant.B.T @ P1 @ S2.T)
-    return gA, gB, gC
+    cm = build_certificate_matrices(plant, ctrl, cl)
+    G = 2.0 * (cm.Cterm @ cm.Bterm)
+    m1, m2 = plant.n_inputs, plant.n_outputs
+    return G[m1:, m2:], G[m1:, :m2], G[:m1, m2:]
 
 
 def lqg_optimal(plant: LqgPlant, order: int | None = None) -> DynController:

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import build_certificate_matrices
 from .errors import DimensionError, UnstableError
 from .lqg import ClosedLoop, DynController, LqgPlant, close_loop, lqg_cost, perturbation_channels
 from .solvers import SchurForm, psd_sqrt, solve
@@ -77,10 +76,9 @@ class NominalLft:
 
     M11 maps noise to performance (its squared H2 norm is the cost at the
     base controller, base_cost); M12/M21 carry the perturbation in/out; M22
-    is the interconnection seen by the perturbation.  G0 is the fixed stable
-    term of the sensitivity system, built from the certificate blocks.  All
-    five share the state matrix T of the closed loop's Schur form: each is
-    realized as (T, Z^T B, C Z, D), so each is its own Schur form.
+    is the interconnection seen by the perturbation.  All four share the
+    state matrix T of the closed loop's Schur form: each is realized as
+    (T, Z^T B, C Z, D), so each is its own Schur form.
     """
 
     plant: LqgPlant
@@ -90,7 +88,6 @@ class NominalLft:
     M12: StateSpace
     M21: StateSpace
     M22: StateSpace
-    G0: StateSpace
     base_cost: float
 
     @functools.cached_property
@@ -132,15 +129,13 @@ def build_nominal(plant: LqgPlant, ctrl0: DynController) -> NominalLft:
     D21 = np.zeros((m2 + q, Bcl.shape[1]))
     D21[:m2, n:] = psd_sqrt(plant.V)
 
-    cm = build_certificate_matrices(plant, ctrl0, cl)
     # every block in the Schur coordinates of the one form close_loop made
     T, Z = cl.form.T, cl.form.Z
     M11 = StateSpace(T, Z.T @ Bcl, Ccl @ Z, np.zeros((Ccl.shape[0], Bcl.shape[1])))
     M12 = StateSpace(T, Z.T @ B_pert, Ccl @ Z, D12)
     M21 = StateSpace(T, Z.T @ Bcl, C_pert @ Z, D21)
     M22 = StateSpace(T, Z.T @ B_pert, C_pert @ Z, np.zeros((m2 + q, m1 + q)))
-    G0 = StateSpace(T, Z.T @ cm.Bterm, cm.Cterm @ Z, np.zeros((m1 + q, m2 + q)))
-    return NominalLft(plant, ctrl0, cl, M11, M12, M21, M22, G0, lqg_cost(cl))
+    return NominalLft(plant, ctrl0, cl, M11, M12, M21, M22, lqg_cost(cl))
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,8 @@ def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     balanced truncation.
 
     S is the stable part of M12~ T M21~, T = M11 + M12 (Q_dyn + Q_stat) M21
-    the cost map; at the zero iterate it is the nominal's G0.  With
+    the cost map; at the zero iterate it is the certificate transfer function
+    Cterm (sI - Acl)^-1 Bterm (`lqg.build_certificate_matrices`).  With
     T = (A_T, B_T, C_T, 0) and X_T its observability Gramian, the projection
     identity for the stable part of G~ H, G and H stable (Zhou, Doyle &
     Glover, Robust and Optimal Control, 1996, ch. 8), gives

@@ -4,9 +4,12 @@ closed form, and the lifted sensitivity and cost assembled on the nominal's
 dense realizations, which `youla` replaced by blocks in Schur coordinates:
 the sensitivity once through the reduced weights M12~ M12 and M21 M21~ and
 once as the stable part of the whole product M12~ T M21~, where `youla`
-reads it off the cost map's observability Gramian; and the LQR gradient
-descent that evaluated every candidate gain in full (`lqr_terms`: Sigma_K and
-P_K), where `lqg` solves P_K only for the accepted one.
+reads it off the cost map's observability Gramian; the certificate transfer
+function on the nominal's closed-loop form, the sensitivity system at the
+zero iterate; the LQG gradient as six block products of P and Sigma, where
+`lqg` reads it off the certificate's first Markov parameter; and the LQR
+gradient descent that evaluated every candidate gain in full (`lqr_terms`:
+Sigma_K and P_K), where `lqg` solves P_K only for the accepted one.
 
 The optimal-controller matrices are two-decimal reference values; note the
 sign of the second output-gain entry is -0.22, the only sign consistent
@@ -18,8 +21,10 @@ import math
 import numpy as np
 
 from lqgpo.errors import SolverError, UnstableError
-from lqgpo.lqg import LQR_GAP_TOL, LQR_MAX_HALVINGS, LQR_STEP, lqr_terms
-from lqgpo.ss import h2_norm_sq, minreal, para_conjugate, parallel, series, stable_projection
+from lqgpo.lqg import (LQR_GAP_TOL, LQR_MAX_HALVINGS, LQR_STEP, build_certificate_matrices,
+                       lqr_terms)
+from lqgpo.ss import (StateSpace, h2_norm_sq, minreal, para_conjugate, parallel, series,
+                      stable_projection)
 from lqgpo.youla import TRUNC_TOL
 
 # Optimal controller for the two-state benchmark plant (two decimals).
@@ -100,14 +105,38 @@ def sine_response_loop(g, omega, c_omega=1.0, settle_cycles=20, sample_cycles=10
     return out
 
 
+def certificate_system(nom):
+    """The certificate transfer function Cterm (sI - Acl)^-1 Bterm of the
+    nominal's base controller, realized on the closed loop's Schur form as
+    (T, Z^T Bterm, Cterm Z, 0): its own form."""
+    cm = build_certificate_matrices(nom.plant, nom.ctrl0, nom.cl)
+    T, Z = nom.cl.form.T, nom.cl.form.Z
+    return StateSpace(T, Z.T @ cm.Bterm, cm.Cterm @ Z,
+                      np.zeros((cm.Cterm.shape[0], cm.Bterm.shape[1])))
+
+
+def lqg_gradient_blocks(plant, ctrl, cl):
+    """The cost gradients with respect to (A_K, B_K, C_K) as six block
+    products of the closed loop's P and Sigma."""
+    n = cl.n
+    P1, P2 = cl.P[:n, :], cl.P[n:, :]
+    S1, S2 = cl.Sigma[:n, :], cl.Sigma[n:, :]
+    P22, S22 = cl.P[n:, n:], cl.Sigma[n:, n:]
+    gA = 2.0 * (P2 @ S2.T)
+    gB = 2.0 * (P22 @ ctrl.B_K @ plant.V + P2 @ S1.T @ plant.C.T)
+    gC = 2.0 * (plant.R @ ctrl.C_K @ S22 + plant.B.T @ P1 @ S2.T)
+    return gA, gB, gC
+
+
 def sensitivity_dense(nom, it):
-    """The sensitivity system as the stable part of G0 + M12~ M12 Q M21 M21~
-    on the nominal's own realizations: the reduced weights as `minreal`
-    returns them, the iterate as given, and the stable projection of the sum
-    from its own (sorted) Schur form."""
+    """The sensitivity system as the stable part of G0 + M12~ M12 Q M21 M21~,
+    G0 the certificate transfer function (`certificate_system`), on the
+    nominal's own realizations: the reduced weights as `minreal` returns
+    them, the iterate as given, and the stable projection of the sum from
+    its own (sorted) Schur form."""
     left = minreal(series(para_conjugate(nom.M12), nom.M12), TRUNC_TOL)
     right = minreal(series(nom.M21, para_conjugate(nom.M21)), TRUNC_TOL)
-    total = parallel(nom.G0, series(left, series(it.combined(), right)), 1)
+    total = parallel(certificate_system(nom), series(left, series(it.combined(), right)), 1)
     S = stable_projection(total)
     S = S.with_feedthrough(np.zeros((S.n_outputs, S.n_inputs)))
     return minreal(S, TRUNC_TOL)

@@ -1,5 +1,9 @@
 """Shared fixtures: benchmark systems, random problem generators, oracles."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +19,16 @@ from lqgpo.lqg import DynController, LqgPlant, close_loop, lqg_optimal
 from lqgpo.ss import StateSpace
 
 MASTER_SEED = 20250810
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """The benchmark's module `perfbench/<name>.py`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()
@@ -111,6 +125,21 @@ def random_plant(rng, n=None, m1=None, m2=None, max_tries=100):
             continue
         return plant
     raise RuntimeError("failed to generate a random plant")
+
+
+def stiff_plant(n=24):
+    """A = -U diag(logspace(-1, 4, n)) U^T, U a random orthogonal matrix, with
+    2 inputs and 2 outputs: time scales from 0.1 to 1e4."""
+    rng = np.random.default_rng(7 + n)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = -U @ np.diag(np.logspace(-1, 4, n)) @ U.T
+    B, C = rng.normal(size=(n, 2)), rng.normal(size=(2, n))
+
+    def spd(k):
+        M = rng.normal(size=(k, k))
+        return M @ M.T / k + 0.5 * np.eye(k)
+
+    return LqgPlant(A, B, C, spd(n), spd(2), spd(n), spd(2))
 
 
 def random_stabilizing_controller(rng, plant, order=None, spread=0.2, max_tries=200):

@@ -10,37 +10,25 @@ fails this suite first, and so is its traced replay, with the tracer's
 self-checks.
 """
 
-import importlib.util
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import load_perfbench
 from lqgpo import lqg, sysid
 from lqgpo.lqg import LqrProblem
 from lqgpo.ss import StateSpace
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module by name
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def spans():
-    return _load("spans")
+    return load_perfbench("spans")
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    return _load("workloads")
+    return load_perfbench("workloads")
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +37,7 @@ def run():
     # process's environment as it was
     env = dict(os.environ)
     try:
-        return _load("run")
+        return load_perfbench("run")
     finally:
         os.environ.clear()
         os.environ.update(env)

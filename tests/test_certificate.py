@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_plant
+from conftest import random_plant, stiff_plant
 from lqgpo import certificate
 from lqgpo.certificate import (
     CertificateMatrices,
@@ -14,7 +14,6 @@ from lqgpo.certificate import (
     rank_condition_check,
     lqr_certificate,
     markov_test,
-    normalized_markov,
 )
 from lqgpo.errors import UnstableError
 from lqgpo.lqg import (
@@ -22,6 +21,7 @@ from lqgpo.lqg import (
     LqgPlant,
     LqrProblem,
     close_loop,
+    lqg_gradient,
     lqg_optimal,
     lqr_optimal,
 )
@@ -39,7 +39,16 @@ class TestCertify:
         monkeypatch.setattr(certificate, "markov_test", counted)
         report = certify(plant1, ctrl_opt)
         assert len(calls) == 1
-        assert report.markov_norms_normalized == normalized_markov(*calls[0])
+        raw, normalized = markov_test(*calls[0])
+        assert (report.markov_norms, report.markov_norms_normalized) == (raw, normalized)
+
+    def test_gradient_is_the_first_markov_parameter(self, plant1, ctrl_ex2):
+        # grad_norm is 2 ||Cterm Bterm|| without its structural-zero block,
+        # the norm of lqg_gradient's blocks
+        report = certify(plant1, ctrl_ex2)
+        grads = lqg_gradient(plant1, ctrl_ex2)
+        want = np.sqrt(sum(np.linalg.norm(g, "fro") ** 2 for g in grads))
+        assert report.grad_norm == pytest.approx(want, rel=1e-14)
 
 
 class TestCertificateMatrices:
@@ -82,13 +91,57 @@ class TestMarkovTest:
         cm_zero = CertificateMatrices(
             cm.B0, cm.C0, cm.B1, cm.C1, cm.Cterm, np.zeros_like(cm.Bterm)
         )
-        values = markov_test(cm_zero, cl.Acl, 4)
-        assert max(values) == 0.0
-        assert max(normalized_markov(cm_zero, cl.Acl, 4)) == 0.0
+        raw, normalized = markov_test(cm_zero, cl.Acl, 4)
+        assert max(raw) == 0.0
+        assert max(normalized) == 0.0
+
+    def test_raw_figures_from_the_scaled_powers(self, rng):
+        # raw = normalized ||C|| ||B|| a^i, which matches C A^i B computed
+        # directly, and normalized = raw / (||C|| a^i ||B||)
+        A, B, C = rng.normal(size=(4, 4)), rng.normal(size=(4, 2)), rng.normal(size=(3, 4))
+        cm = CertificateMatrices(None, None, None, None, C, B)
+        raw, normalized = markov_test(cm, A, 6)
+        a = np.linalg.norm(A, 2)
+        for i in range(6):
+            want = np.linalg.norm(C @ np.linalg.matrix_power(A, i) @ B, "fro")
+            assert raw[i] == pytest.approx(want, rel=1e-12)
+            scale = np.linalg.norm(C, "fro") * a**i * np.linalg.norm(B, "fro")
+            assert normalized[i] == pytest.approx(want / scale, rel=1e-12)
+
+    def test_raw_figure_is_inf_only_past_the_floating_range(self):
+        # a^2 = 1e320 overflows, but C A^2 B = 1e220 + 0.25 does not; C A^3 B
+        # is 1e380
+        A = np.diag([1e160, 0.5])
+        cm = CertificateMatrices(None, None, None, None, np.array([[1e-100, 1.0]]),
+                                 np.ones((2, 1)))
+        raw, normalized = markov_test(cm, A, 4)
+        assert raw[2] == pytest.approx(1e220, rel=1e-12)
+        assert raw[3] == np.inf
+        assert all(np.isfinite(normalized)) and max(normalized) <= 1.0
 
     def test_non_stationary_verdict(self, plant1, ctrl_ex2):
         report = certify(plant1, ctrl_ex2)
         assert report.verdict is Verdict.NOT_STATIONARY
+
+
+class TestStiffPlant:
+    # time scales 0.1 to 1e4: ||Acl||^i overflows before i reaches n + q = 48
+    def test_riccati_optimum_is_globally_optimal(self):
+        plant = stiff_plant()
+        report = certify(plant, lqg_optimal(plant))
+        assert report.verdict is Verdict.GLOBALLY_OPTIMAL
+        assert max(report.markov_norms_normalized) <= 1e-11
+        assert all(np.isfinite(report.markov_norms))
+
+    def test_decoupled_saddle_is_stationary_not_optimal(self):
+        # A_K = -I, B_K = 0, C_K = 0 on the open-loop-stable plant: a
+        # stationary point whose gradient is exactly zero
+        plant = stiff_plant()
+        n = plant.n
+        report = certify(plant, DynController(-np.eye(n), np.zeros((n, 2)), np.zeros((2, n))))
+        assert report.verdict is Verdict.STATIONARY_NOT_OPTIMAL
+        assert report.grad_norm == 0.0
+        assert max(report.markov_norms_normalized) >= 0.1
 
 
 class TestRankCondition:
@@ -210,6 +263,6 @@ class TestProperties:
                 np.abs(freq_response(g0, w)).max()
                 for w in np.logspace(-2, 2, 200)
             )
-            markov_pass = max(normalized_markov(cm, cl.Acl, 4)) <= 1e-6
+            markov_pass = max(markov_test(cm, cl.Acl, 4)[1]) <= 1e-6
             assert markov_pass == should_vanish
             assert (peak <= 1e-8) == should_vanish

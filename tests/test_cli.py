@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import stiff_plant
 from lqgpo import cli
 from lqgpo.benchmarks import example1_plant, example2_controller, stationary_controller
+from lqgpo.certificate import certify
 from lqgpo.cli import main
-from lqgpo.lqg import DynController, LqgPlant, lqg_optimal
+from lqgpo.lqg import DynController, lqg_optimal
 
 
 @pytest.fixture()
@@ -109,27 +112,33 @@ class TestCertify:
         )
         assert json.loads(st.output)["verdict"] == "stationary_not_optimal"
 
-    def test_non_finite_figure_exits_3_without_output(self, runner, tmp_path):
-        # a stiff plant, time scales 0.1 to 1e4: the raw Markov norms of its
-        # Riccati optimum overflow to inf for the last 4 of 48 indices, and
-        # JSON has no Infinity
-        n = 24
-        rng = np.random.default_rng(7 + n)
-        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        A = -U @ np.diag(np.logspace(-1, 4, n)) @ U.T
-        B, C = rng.normal(size=(n, 2)), rng.normal(size=(2, n))
-
-        def spd(k):
-            M = rng.normal(size=(k, k))
-            return M @ M.T / k + 0.5 * np.eye(k)
-
-        plant = LqgPlant(A, B, C, spd(n), spd(2), spd(n), spd(2))
+    def test_stiff_riccati_optimum_certifies(self, runner, tmp_path):
+        # time scales 0.1 to 1e4: ||Acl||^i overflows before the last of the
+        # 48 Markov parameters, and the pass on the scaled powers does not
+        plant = stiff_plant()
         (tmp_path / "stiff.json").write_text(json.dumps(plant.to_dict()))
         (tmp_path / "kstar.json").write_text(json.dumps(lqg_optimal(plant).to_dict()))
         out = tmp_path / "report.json"
         result = runner.invoke(
             main, ["certify", "--plant", str(tmp_path / "stiff.json"),
                    "--controller", str(tmp_path / "kstar.json"), "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["verdict"] == "globally_optimal"
+        assert json.loads(out.read_text()) == report
+
+    def test_non_finite_figure_exits_3_without_output(self, runner, io_dir, monkeypatch):
+        # a raw figure past the floating range is inf, and JSON has no Infinity
+        def certify_inf(*args):
+            report = certify(*args)
+            return dataclasses.replace(report, markov_norms=[*report.markov_norms[:-1], np.inf])
+
+        monkeypatch.setattr(cli, "certify", certify_inf)
+        out = io_dir / "report.json"
+        result = runner.invoke(
+            main, ["certify", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl.json"), "--out", str(out)],
         )
         assert result.exit_code == 3
         assert "Infinity" not in result.stdout
@@ -477,23 +486,33 @@ class TestExperiments:
         assert "must be" in result.output
 
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "lqgpo"
+
+
+def _imported(path):
+    """Names of the modules a source file imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rsplit(".", 1)[-1]
+            if node.module in (None, "lqgpo"):
+                yield from (alias.name for alias in node.names)
+
+
 def test_only_cli_imports_experiments():
     """The experiments sit on top of the library: no module but the CLI
     imports them, and importing the package loads neither."""
-    src = Path(__file__).resolve().parent.parent / "src" / "lqgpo"
-
-    def imported(path):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module:
-                    yield node.module.rsplit(".", 1)[-1]
-                if node.module in (None, "lqgpo"):
-                    yield from (alias.name for alias in node.names)
-
     importers = sorted(
-        path.name for path in src.glob("*.py") if "experiments" in set(imported(path))
+        path.name for path in SRC.glob("*.py") if "experiments" in set(_imported(path))
     )
     assert importers == ["cli.py"]
-    assert not {"cli", "experiments"} & set(imported(src / "__init__.py"))
+    assert not {"cli", "experiments"} & set(_imported(SRC / "__init__.py"))
+
+
+def test_certificate_sits_above_the_core():
+    """The certificate reads its blocks and the gradient from `lqg`: none of
+    the modules below it imports it."""
+    for name in ("solvers", "ss", "lqg", "youla"):
+        assert "certificate" not in set(_imported(SRC / f"{name}.py")), name

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import MASTER_SEED, random_plant, random_stabilizing_controller
-from _reference import A_K_STAR, B_K_STAR, C_K_STAR, DISPLAY_TOL, lqr_gradient_descent_loop
+from conftest import MASTER_SEED, load_perfbench, random_plant, random_stabilizing_controller
+from _reference import (A_K_STAR, B_K_STAR, C_K_STAR, DISPLAY_TOL, lqg_gradient_blocks,
+                        lqr_gradient_descent_loop)
 from lqgpo import lqg, solvers
 from lqgpo.benchmarks import example1_plant
 from lqgpo.errors import SolverError, UnstableError
@@ -103,7 +104,24 @@ class TestGradient:
     def test_structurally_zero_at_decoupled_stationary_point(self, plant1, ctrl_stationary):
         gA, gB, gC = lqg_gradient(plant1, ctrl_stationary)
         for g in (gA, gB, gC):
-            assert np.linalg.norm(g, "fro") <= 1e-12
+            assert not np.any(g)
+
+    def test_matches_block_products(self, rng):
+        # the blocks of 2 Cterm Bterm against the six block products of P and
+        # Sigma, on criterion-4 style plants and the benchmark's random family
+        instances = []
+        for _ in range(5):
+            plant = random_plant(rng, n=int(rng.integers(2, 4)))
+            instances.append((plant, random_stabilizing_controller(rng, plant)))
+        workloads = load_perfbench("workloads")
+        instances += [workloads.random_lqg_instance(rng, n) for n in (8, 16, 24)]
+        for plant, ctrl in instances:
+            cl = close_loop(plant, ctrl)
+            got, want = lqg_gradient(plant, ctrl, cl), lqg_gradient_blocks(plant, ctrl, cl)
+            scale = np.sqrt(sum(np.linalg.norm(g, "fro") ** 2 for g in want))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.linalg.norm(g - w, "fro") <= 1e-12 * scale
 
     def test_matches_finite_differences(self, rng):
         for _ in range(5):

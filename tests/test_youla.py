@@ -6,8 +6,8 @@ import scipy.linalg
 
 from conftest import (MASTER_SEED, freq_response_fast, random_plant, random_spd,
                       random_stabilizing_controller, random_stable_ss)
-from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, lifted_cost_dense,
-                        sensitivity_dense, sensitivity_projection_dense)
+from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, certificate_system,
+                        lifted_cost_dense, sensitivity_dense, sensitivity_projection_dense)
 from lqgpo.certificate import Verdict, build_certificate_matrices, certify
 from lqgpo.lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal, perturbation_channels
 from lqgpo.solvers import psd_sqrt
@@ -119,7 +119,8 @@ class TestNominal:
         assert nom_ex2.M11.is_strictly_proper()
         assert nom_ex2.M22.is_strictly_proper()
         assert nom_ex2.M11.is_stable() and nom_ex2.M22.is_stable()
-        assert nom_ex2.G0.is_stable() and nom_ex2.G0.is_strictly_proper()
+        g0 = certificate_system(nom_ex2)
+        assert g0.is_stable() and g0.is_strictly_proper()
 
 
 class TestSensitivity:
@@ -322,10 +323,11 @@ class TestSchurCoordinates:
 
     @pytest.mark.parametrize("which", ["ex2", "stationary", "random8"])
     def test_zero_iterate_gives_g0(self, which, request):
-        # G0 = stable part of M12~ M11 M21~, truncated as S is
+        # the certificate transfer function G0 = stable part of M12~ M11 M21~,
+        # truncated as S is
         nom = request.getfixturevalue(f"nom_{which}")
-        S = sensitivity(nom, YoulaIterate.zero(nom))
-        assert h2_distance(S, minreal(nom.G0, TRUNC_TOL)) <= 1e-12 * np.sqrt(h2_norm_sq(nom.G0))
+        S, G0 = sensitivity(nom, YoulaIterate.zero(nom)), certificate_system(nom)
+        assert h2_distance(S, minreal(G0, TRUNC_TOL)) <= 1e-12 * np.sqrt(h2_norm_sq(G0))
 
     def test_descent_splits_nothing(self, nom_random8, monkeypatch):
         # on a warm nominal no system is split into stable and anti-stable
@@ -356,13 +358,13 @@ class TestSchurCoordinates:
         assert max(sizes) < 2 * nom_random8.M12.n_states
 
     def test_nominal_blocks_are_their_own_forms(self, nom_random8, factorizations):
-        # each block is realized on the closed loop's quasi-triangular T, so
-        # its form is its own; each has the transfer matrix of its
-        # realization on Acl
+        # each block, and the certificate transfer function on the same form,
+        # is realized on the closed loop's quasi-triangular T, so its form is
+        # its own; each has the transfer matrix of its realization on Acl
         plant, ctrl0 = nom_random8.plant, nom_random8.ctrl0
         nom = build_nominal(plant, ctrl0)
         factorizations.clear()
-        blocks = (nom.M11, nom.M12, nom.M21, nom.M22, nom.G0)
+        blocks = (nom.M11, nom.M12, nom.M21, nom.M22, certificate_system(nom))
         assert all(g.form.own for g in blocks)
         assert factorizations == {}
         cl = nom.cl
