@@ -454,7 +454,7 @@ def _lqr_sigma(prob: LqrProblem, K):
         raise UnstableError("gain does not stabilize the loop")
     weight = prob.Q + K.T @ prob.R @ K
     Sigma = solvers.solve(form, form, np.eye(form.A.shape[0]), trans_b=True).solution
-    return form, weight, Sigma, float(np.trace(Sigma @ weight))
+    return form, weight, Sigma, float((Sigma @ weight).trace())
 
 
 def _lqr_gap(prob: LqrProblem, K, form, weight):
@@ -503,10 +503,10 @@ def lqr_gradient_descent(
     priced by the Schur form of its loop, the stability test and Sigma_K
     alone: a rejected one costs one Schur form and at most one Lyapunov
     solve, and P_K, hence the gap and the next gradient, is solved only for
-    the accepted one.  Stops on the stationarity gap ||R K - B^T P_K||
-    (LQR_GAP_TOL relative to the gain scale), which certifies optimality
-    directly, rather than on the gradient norm, which can be small while the
-    gap is not.
+    the accepted one, on the same form and its one spectral-gap value.
+    Stops on the stationarity gap ||R K - B^T P_K|| (LQR_GAP_TOL relative to
+    the gain scale), which certifies optimality directly, rather than on the
+    gradient norm, which can be small while the gap is not.
     """
     K = np.atleast_2d(np.asarray(K0, dtype=float))
     cost, gap, Sigma, _ = lqr_terms(prob, K)

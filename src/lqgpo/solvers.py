@@ -4,7 +4,10 @@ for desk-scale problems (a few hundred states at most).  A matrix is
 factored once, into its real Schur form (`schur_form`), which gives its
 eigenvalues, decides its stability (`SchurForm.is_stable`) and serves every
 equation on it; a `StateSpace` keeps its form, and callers holding a raw
-matrix factor it here.  A matrix already quasi-triangular (a block-triangular
+matrix factor it here.  A form is one direct LAPACK gees call, whose
+workspace size is queried once per matrix order and kept; a Python wrapper
+around gees would cost several times the call on the 2 x 2 and 3 x 3 loops
+of an LQR descent.  A matrix already quasi-triangular (a block-triangular
 product of blocks in Schur coordinates) is its own form and is not factored,
 and a stable-first form is a reorder of a form (`stable_first_form`), not a
 second factorization.  Every Lyapunov and Sylvester solve is one
@@ -18,10 +21,13 @@ update of the right-hand side between them.  A Lyapunov equation solves only
 its leading, coupling and trailing blocks and mirrors the coupling block.
 When a form is its own (Z = I), the equation is solved on T directly, without
 the products by Z.  A form computes the constants its solves read, ||A||_F
-(`SchurForm.norm`) and the spectral radius (`SchurForm.radius`), once, on
-first use, and reads its eigenvalues off T's diagonal, with the 2 x 2 block
-arithmetic only where T has such a block.  Riccati solutions are polished by
-Newton-Kleinman."""
+(`SchurForm.norm`), the spectral radius (`SchurForm.radius`) and the
+Lyapunov spectral gap min |lambda_i + lambda_j| (`SchurForm.lyapunov_gap`),
+once, on first use, and reads its eigenvalues off T's diagonal, with the
+2 x 2 block arithmetic only where T has such a block.  So the Sigma_K and
+P_K solves on one LQR loop share one gap, a Sylvester solve on two forms
+computes its own, and a rejected LQR candidate costs one gees call and at
+most one Lyapunov solve.  Riccati solutions are polished by Newton-Kleinman."""
 
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dtrsen, dtrsyl
+from scipy.linalg.lapack import dgees, dtrsen, dtrsyl
 
 from .errors import DimensionError, SolverError
 
@@ -43,6 +49,9 @@ MAX_NEWTON = 50
 # Largest side, in states, of an equation solved by one LAPACK trsyl call;
 # `solve` splits larger ones into blocks of at most this size.
 LEAF = 32
+# gees's optimal workspace by matrix order, queried once per order: the query
+# reads only the order.
+_GEES_LWORK: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ class SchurForm:
 
     def is_stable(self, eps: float = EPS_STAB) -> bool:
         """Every eigenvalue has Re(lambda) < -eps (true when A is empty)."""
-        return bool(np.all(self.eigs.real < -eps))
+        return bool((self.eigs.real < -eps).all())
 
     @cached_property
     def norm(self) -> float:
@@ -76,6 +85,13 @@ class SchurForm:
         """The spectral radius max |lambda|, computed once per form (0 when A
         is empty)."""
         return np.abs(self.eigs).max(initial=0.0)
+
+    @cached_property
+    def lyapunov_gap(self) -> float:
+        """min |lambda_i + lambda_j| over the eigenvalues: how far a Lyapunov
+        (or Sylvester) equation on this one form is from singular, computed
+        once per form."""
+        return np.abs(self.eigs[:, None] + self.eigs[None, :]).min()
 
     @property
     def own(self) -> bool:
@@ -98,8 +114,8 @@ def _fro(x) -> float:
 
 
 def _form(A, T, Z):
-    eigs = np.diag(T).astype(complex)
-    sub = np.diagonal(T, -1)
+    eigs = T.diagonal().astype(complex)
+    sub = T.diagonal(-1)
     if sub.any():  # T has 2x2 blocks: read their complex pairs
         k = np.flatnonzero(sub)  # leading rows of the 2x2 blocks
         a, b, c, d = T[k, k], T[k, k + 1], T[k + 1, k], T[k + 1, k + 1]
@@ -125,18 +141,32 @@ def _is_quasi_triangular(A) -> bool:
                 and np.all(A[k, k + 1] * sub[k] < 0))
 
 
+def _no_sort(wr, wi):
+    """gees's eigenvalue selector; never called, as no ordering is asked."""
+
+
 def schur_form(A) -> SchurForm:
-    """The real Schur form of a square matrix.  A matrix of three or more
-    rows already in standardized real Schur form is its own form (T = A,
-    Z = I): a block-triangular system assembled from blocks in Schur
-    coordinates is factored for free."""
+    """The real Schur form of a square matrix: one LAPACK gees call with the
+    workspace that scipy's schur queries, so T and Z are scipy's bits.  A
+    non-finite A raises ValueError and a failed QR iteration LinAlgError, with
+    scipy's messages.  A matrix of three or more rows already in standardized
+    real Schur form is its own form (T = A, Z = I): a block-triangular system
+    assembled from blocks in Schur coordinates is factored for free."""
     A = _square(A, "A")
-    if A.size == 0:
+    n = A.shape[0]
+    if n == 0:
         return SchurForm(A, A, A, np.zeros(0, complex))
     if _is_quasi_triangular(A):
         T = A.copy()
-        return _form(T, T, np.eye(A.shape[0]))
-    T, Z = sla.schur(A, output="real")
+        return _form(T, T, np.eye(n))
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = _GEES_LWORK.get(n)
+    if lwork is None:
+        lwork = _GEES_LWORK[n] = int(dgees(_no_sort, A, lwork=-1)[-2][0])
+    T, _, _, _, Z, _, info = dgees(_no_sort, A, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     return _form(A, T, Z)
 
 
@@ -241,7 +271,7 @@ def solve(
         raise DimensionError(f"right-hand side must have shape {shape}, got {C.shape}")
     if C.size == 0:
         return SolveReport(np.zeros(shape), 0.0)
-    gap = np.abs(fa.eigs[:, None] + fb.eigs[None, :]).min()
+    gap = fa.lyapunov_gap if fa is fb else np.abs(fa.eigs[:, None] + fb.eigs[None, :]).min()
     if gap <= 1e-12 * max(1.0, fa.radius, fb.radius):
         raise SolverError("non-unique solution: spectra of op(A) and -op(B) overlap "
                           f"(min |lambda_i + mu_j| = {gap:.3e})")

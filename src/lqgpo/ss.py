@@ -3,11 +3,10 @@
 Every frequency-domain object in this package is carried as a real
 state-space quadruple (A, B, C, D) with transfer matrix
 G(s) = C (sI - A)^-1 B + D.  The module provides the compositions
-(series, parallel, para-Hermitian conjugation), the additive
-stable/anti-stable decomposition, H2 norms and inner products via
-Gramians, an upper bound on the H-infinity norm by the Hamiltonian level-set
-iteration, balanced-truncation minimal realizations, and conversion from
-scalar rational functions.
+(series, parallel), the additive stable/anti-stable decomposition, H2 norms
+and inner products via Gramians, an upper bound on the H-infinity norm by
+the Hamiltonian level-set iteration, balanced-truncation minimal
+realizations, and conversion from scalar rational functions.
 
 All operations are pure; `StateSpace` values are immutable after
 construction and safe to share across threads.  A system's real Schur form
@@ -188,11 +187,6 @@ def parallel(g: StateSpace, h: StateSpace, sign: int = 1) -> StateSpace:
     return StateSpace(A, B, C, D)
 
 
-def para_conjugate(g: StateSpace) -> StateSpace:
-    """Realize G~(s) = G(-s)^T.  Stable inputs become anti-stable."""
-    return StateSpace(-g.A.T, -g.C.T, g.B.T, g.D.T)
-
-
 def freq_response(g: StateSpace, omega) -> np.ndarray:
     """Evaluate G(j omega) by a direct complex linear solve.
 
@@ -241,11 +235,6 @@ def stable_antistable_split(g: StateSpace) -> tuple[StateSpace, StateSpace]:
     stable = StateSpace(T[:k, :k], B1, C1, g.D)
     anti = StateSpace(T[k:, k:], B2, C2, np.zeros_like(g.D))
     return stable, anti
-
-
-def stable_projection(g: StateSpace) -> StateSpace:
-    """The stable term of the unique stable/anti-stable decomposition."""
-    return stable_antistable_split(g)[0]
 
 
 def stable_residue_sum(g: StateSpace) -> np.ndarray:

@@ -9,7 +9,9 @@ function on the nominal's closed-loop form, the sensitivity system at the
 zero iterate; the LQG gradient as six block products of P and Sigma, where
 `lqg` reads it off the certificate's first Markov parameter; and the LQR
 gradient descent that evaluated every candidate gain in full (`lqr_terms`:
-Sigma_K and P_K), where `lqg` solves P_K only for the accepted one.
+Sigma_K and P_K), where `lqg` solves P_K only for the accepted one.  The
+para-conjugate and the stable projection, which only these references
+build on, live here too.
 
 The optimal-controller matrices are two-decimal reference values; note the
 sign of the second output-gain entry is -0.22, the only sign consistent
@@ -23,8 +25,8 @@ import numpy as np
 from lqgpo.errors import SolverError, UnstableError
 from lqgpo.lqg import (LQR_GAP_TOL, LQR_MAX_HALVINGS, LQR_STEP, build_certificate_matrices,
                        lqr_terms)
-from lqgpo.ss import (StateSpace, h2_norm_sq, minreal, para_conjugate, parallel, series,
-                      stable_projection)
+from lqgpo.ss import (StateSpace, h2_norm_sq, minreal, parallel, series,
+                      stable_antistable_split)
 from lqgpo.youla import TRUNC_TOL
 
 # Optimal controller for the two-state benchmark plant (two decimals).
@@ -53,6 +55,16 @@ S0_11_AT_0 = -1.671 / 0.4167
 S0_13_AT_0 = -2.081 / 0.4167
 S0_31_AT_0 = 2.081 / 0.4167
 S0_33_AT_0 = 2.683 / 0.4167
+
+
+def para_conjugate(g):
+    """Realize G~(s) = G(-s)^T.  Stable inputs become anti-stable."""
+    return StateSpace(-g.A.T, -g.C.T, g.B.T, g.D.T)
+
+
+def stable_projection(g):
+    """The stable term of the unique stable/anti-stable decomposition."""
+    return stable_antistable_split(g)[0]
 
 
 def _rk4_step_ops_vector(A, b, h):

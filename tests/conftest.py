@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+from lqgpo import solvers
 from lqgpo.benchmarks import (
     example1_plant,
     example2_controller,
@@ -36,17 +36,33 @@ def rng():
     return np.random.default_rng(MASTER_SEED)
 
 
+def record_schur_forms(monkeypatch, record):
+    """Call record(A) on every matrix that solvers factors into its real Schur
+    form: every LAPACK gees call there but a workspace query."""
+    def recorded(select, A, *args, _orig=solvers.dgees, **kwargs):
+        if kwargs.get("lwork") != -1:
+            record(A)
+        return _orig(select, A, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "dgees", recorded)
+
+
 @pytest.fixture()
 def factorizations(monkeypatch):
-    """Counts of scipy.linalg.schur, numpy.linalg.eigvals and numpy.linalg.solve
-    calls."""
+    """Counts of Schur factorizations (under "schur"), numpy.linalg.eigvals
+    and numpy.linalg.solve calls."""
     counts = {}
-    for host, name in ((scipy.linalg, "schur"), (np.linalg, "eigvals"), (np.linalg, "solve")):
-        def counted(*args, _orig=getattr(host, name), _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
+
+    def count(name):
+        counts[name] = counts.get(name, 0) + 1
+
+    record_schur_forms(monkeypatch, lambda A: count("schur"))
+    for name in ("eigvals", "solve"):
+        def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+            count(_name)
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(host, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return counts
 
 

@@ -224,6 +224,19 @@ class TestFormConstants:
         assert form.radius == np.abs(form.eigs).max()
         assert {"norm", "radius"} <= set(vars(form))  # cached on first use
 
+    def test_lyapunov_gap_is_computed_once(self, plant1):
+        # the Sigma_K and P_K solves on one loop form read one gap value
+        prob = LqrProblem(plant1.A, plant1.B, plant1.Q, plant1.R)
+        K, _ = lqr_optimal(prob)
+        form = solvers.schur_form(prob.closed_loop(K))
+        solvers.solve(form, form, np.eye(2), trans_b=True)
+        assert form.lyapunov_gap == np.abs(form.eigs[:, None] + form.eigs[None, :]).min()
+        assert "lyapunov_gap" in vars(form)
+        # a Sylvester solve on two forms reads neither form's gap
+        other = solvers.schur_form(-np.eye(3) + np.triu(np.ones((3, 3)), 1))
+        solvers.solve(form, other, np.ones((2, 3)))
+        assert "lyapunov_gap" not in vars(other)
+
     def test_empty_form(self):
         form = solvers.schur_form(np.zeros((0, 0)))
         assert form.norm == 0.0 and form.radius == 0.0
@@ -236,11 +249,58 @@ class TestFormConstants:
 
 
 def test_schur_form_refuses_non_finite_input():
-    for bad in (np.nan, np.inf):
-        A = np.triu(np.ones((3, 3)))
-        A[0, 2] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solvers.schur_form(A)
+    # scipy's error, type and message, on triangular and dense input
+    dense = np.random.default_rng(1).normal(size=(4, 4))
+    for bad in (np.nan, np.inf, -np.inf):
+        for A, at in ((np.triu(np.ones((3, 3))), (0, 2)), (dense.copy(), (2, 1))):
+            A[at] = bad
+            with pytest.raises(ValueError) as want:
+                scipy.linalg.schur(A, output="real")
+            with pytest.raises(ValueError) as got:
+                solvers.schur_form(A)
+            assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 33, 80, 160])
+def test_schur_form_is_scipys(n):
+    # one gees call with scipy's workspace gives scipy's T and Z bit for bit,
+    # also where the Hessenberg reduction runs blocked, and leaves A intact
+    A = np.random.default_rng(n).normal(size=(n, n))
+    A0 = A.copy()
+    T, Z = scipy.linalg.schur(A, output="real")
+    form = solvers.schur_form(A)
+    assert np.array_equal(form.T, T) and np.array_equal(form.Z, Z)
+    assert np.array_equal(A, A0)
+
+
+def test_workspace_is_queried_once_per_order(monkeypatch):
+    rng = np.random.default_rng(3)
+    n = 7
+    monkeypatch.setattr(solvers, "_GEES_LWORK", {})
+    queries = []
+
+    def gees(select, A, *args, _orig=solvers.dgees, **kwargs):
+        queries.append(kwargs.get("lwork") == -1)
+        return _orig(select, A, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "dgees", gees)
+    solvers.schur_form(rng.normal(size=(n, n)))
+    assert queries == [True, False]
+    A = rng.normal(size=(n, n))
+    again = solvers.schur_form(A)
+    assert queries == [True, False, False]  # the stored workspace serves it
+    query = scipy.linalg.lapack.dgees(lambda wr, wi: None, A, lwork=-1)[-2][0]
+    assert solvers._GEES_LWORK == {n: int(query)}
+    T, Z = scipy.linalg.schur(A, output="real")
+    assert np.array_equal(again.T, T) and np.array_equal(again.Z, Z)
+
+
+def test_failed_schur_iteration_is_scipys_error(monkeypatch):
+    exact = solvers.dgees
+    monkeypatch.setattr(solvers, "dgees",
+                        lambda *args, **kwargs: exact(*args, **kwargs)[:-1] + (1,))
+    with pytest.raises(np.linalg.LinAlgError, match="Schur form not found"):
+        solvers.schur_form([[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_trsyl_scaling_is_refused(monkeypatch):
@@ -399,14 +459,15 @@ def _names(tree):
 
 
 def test_only_solvers_names_matrix_equation_solvers():
-    """A second Lyapunov/Sylvester path must not creep back outside solvers."""
+    """A second Lyapunov/Sylvester path, or a Schur factorization, must not
+    creep back outside solvers."""
     offenders = [
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         if path.name != "solvers.py"
         for name in _names(ast.parse(path.read_text()))
         if name in ("solve_continuous_lyapunov", "solve_sylvester")
-        or name.endswith(("trsyl", "trsen"))
+        or name.endswith(("trsyl", "trsen", "gees", "schur"))
     ]
     assert offenders == []
 

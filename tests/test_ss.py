@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import freq_response_fast, random_stable_ss
+from _reference import para_conjugate, stable_projection
 from lqgpo.errors import AxisPoleError, DimensionError, UnstableError
 from lqgpo.ss import (
     HINF_TOL,
@@ -16,14 +17,12 @@ from lqgpo.ss import (
     h2_norm_sq,
     hinf_norm_est,
     minreal,
-    para_conjugate,
     parallel,
     rational_to_ss,
     scaled,
     series,
     ss_entry_to_rational,
     stable_antistable_split,
-    stable_projection,
     stable_residue_sum,
     static_gain,
     zero_system,

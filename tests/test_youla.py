@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import (MASTER_SEED, freq_response_fast, random_plant, random_spd,
-                      random_stabilizing_controller, random_stable_ss)
+                      random_stabilizing_controller, random_stable_ss, record_schur_forms)
 from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, certificate_system,
                         lifted_cost_dense, sensitivity_dense, sensitivity_projection_dense)
 from lqgpo.certificate import Verdict, build_certificate_matrices, certify
@@ -345,12 +344,8 @@ class TestSchurCoordinates:
             splits.append(g.n_states)
             return _orig(g)
 
-        def recorded(A, *args, _orig=scipy.linalg.schur, **kwargs):
-            sizes.append(A.shape[0])
-            return _orig(A, *args, **kwargs)
-
         monkeypatch.setattr(ss, "stable_antistable_split", split)
-        monkeypatch.setattr(scipy.linalg, "schur", recorded)
+        record_schur_forms(monkeypatch, lambda A: sizes.append(A.shape[0]))
         monkeypatch.setattr(youla, "estimate_smoothness", lambda nom: L)
         run_lifted_gradient_descent(nom_random8, iters=5)
         assert splits == []
@@ -383,12 +378,8 @@ class TestSchurCoordinates:
         # and every Schur-coordinate block of the nominal
         Acl = nom_random8.cl.Acl
         on_acl = []
-
-        def recorded(A, *args, _orig=scipy.linalg.schur, **kwargs):
-            on_acl.append(A.shape == Acl.shape and np.array_equal(A, Acl))
-            return _orig(A, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "schur", recorded)
+        record_schur_forms(
+            monkeypatch, lambda A: on_acl.append(A.shape == Acl.shape and np.array_equal(A, Acl)))
         nom = build_nominal(nom_random8.plant, nom_random8.ctrl0)
         run_lifted_gradient_descent(nom, iters=2)
         assert sum(on_acl) == 1
@@ -400,12 +391,7 @@ class TestSchurCoordinates:
         q = it.Q_dyn
         fresh = YoulaIterate(StateSpace(q.A, q.B, q.C, q.D), it.Q_stat)
         sizes = []
-
-        def recorded(A, *args, _orig=scipy.linalg.schur, **kwargs):
-            sizes.append(A.shape[0])
-            return _orig(A, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "schur", recorded)
+        record_schur_forms(monkeypatch, lambda A: sizes.append(A.shape[0]))
         S, _ = frechet_gradient(nom_random8, fresh)
         lifted_cost(nom_random8, fresh)
         assert sizes
