@@ -226,8 +226,11 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
     nom = build_nominal(plant, ctrl0)
     records, final_it = run_lifted_gradient_descent(nom, eta=eta, iters=iters)
     final = records[-1].cost
+    # checked before anything is written
+    if final > records[0].cost:
+        raise ArithmeticError(f"lifted descent diverged: cost rose from "
+                              f"{records[0].cost:.12g} to {final:.12g}")
     if save_path:
-        # checked before anything is written
         ctrl_out = assemble_controller(ctrl0, reconstruct_controller_delta(nom, final_it))
         cost_out = lqg_cost(close_loop(plant, ctrl_out))  # UnstableError: exit 3
         if not abs(cost_out - final) <= SAVE_COST_RTOL * final:

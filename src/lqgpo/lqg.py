@@ -12,6 +12,9 @@ structured matrix [[0, C_K], [B_K, A_K]] whose top-left block is zero.
 For the LQR case the gain enters the loop negatively (u = -K x, closed
 loop A - B K), so the unique stationary gain is the Riccati gain
 K* = R^-1 B^T P* and the gradient is 2 (R K - B^T P_K) Sigma_K.
+
+Every matrix of a plant, controller or LQR problem is an `ss.frozen_matrix`
+(finite, 2-D, read-only); weights are also symmetric positive definite.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import solvers
 from .errors import DimensionError, SolverError, UnstableError
-from .ss import StateSpace
+from .ss import StateSpace, frozen_matrix, json_values, set_fields
 
 # Dual-trace agreement required of every constructed closed loop.
 COST_CONSISTENCY_RTOL = 1e-8
@@ -36,15 +39,8 @@ LQR_GAP_TOL = 1e-8
 LQR_MAX_HALVINGS = 40
 
 
-def _mat(value, name):
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _check_spd(M, name):
-    M = _mat(M, name)
+    M = frozen_matrix(M, name)
     if M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} must be square")
     if np.linalg.norm(M - M.T, "fro") > 1e-10 * max(1.0, np.linalg.norm(M, "fro")):
@@ -81,35 +77,25 @@ class LqgPlant:
     control_riccati: solvers.SolveReport = field(init=False, repr=False, compare=False)
     filter_riccati: solvers.SolveReport = field(init=False, repr=False, compare=False)
 
+    KEYS = ("A", "B", "C", "Q", "R", "W", "V")
+
     def __post_init__(self):
-        A = _mat(self.A, "A")
-        B = _mat(self.B, "B")
-        C = _mat(self.C, "C")
+        A, B, C = (frozen_matrix(getattr(self, k), k) for k in "ABC")
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionError("A must be square")
         if B.shape[0] != n or C.shape[1] != n:
             raise DimensionError("B/C dimensions inconsistent with A")
-        Q = _check_spd(self.Q, "Q")
-        R = _check_spd(self.R, "R")
-        W = _check_spd(self.W, "W")
-        V = _check_spd(self.V, "V")
+        Q, R, W, V = (_check_spd(getattr(self, k), k) for k in "QRWV")
         if Q.shape[0] != n or W.shape[0] != n:
             raise DimensionError("Q/W must be n x n")
         if R.shape[0] != B.shape[1]:
             raise DimensionError("R must match the input dimension")
         if V.shape[0] != C.shape[0]:
             raise DimensionError("V must match the output dimension")
-        for name, val in (
-            ("A", A), ("B", B), ("C", C), ("Q", Q), ("R", R), ("W", W), ("V", V)
-        ):
-            val = val.copy()
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "control_riccati", _riccati(
-            "plant is not stabilizable", self.A, self.B, self.Q, self.R))
-        object.__setattr__(self, "filter_riccati", _riccati(
-            "plant is not detectable", self.A.T, self.C.T, self.W, self.V))
+        set_fields(self, A=A, B=B, C=C, Q=Q, R=R, W=W, V=V,
+                   control_riccati=_riccati("plant is not stabilizable", A, B, Q, R),
+                   filter_riccati=_riccati("plant is not detectable", A.T, C.T, W, V))
 
     @property
     def n(self) -> int:
@@ -124,14 +110,11 @@ class LqgPlant:
         return self.C.shape[0]
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k).tolist() for k in "ABCQRWV"}
+        return {k: getattr(self, k).tolist() for k in self.KEYS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LqgPlant":
-        missing = set("ABCQRWV") - set(data)
-        if missing:
-            raise ValueError(f"plant JSON missing keys: {sorted(missing)}")
-        return cls(*(np.asarray(data[k], dtype=float) for k in "ABCQRWV"))
+        return cls(*json_values(data, cls.KEYS, "plant"))
 
 
 @dataclass(frozen=True)
@@ -142,19 +125,16 @@ class DynController:
     B_K: np.ndarray
     C_K: np.ndarray
 
+    KEYS = ("A_K", "B_K", "C_K")
+
     def __post_init__(self):
-        A_K = _mat(self.A_K, "A_K")
-        B_K = _mat(self.B_K, "B_K")
-        C_K = _mat(self.C_K, "C_K")
+        A_K, B_K, C_K = (frozen_matrix(getattr(self, k), k) for k in self.KEYS)
         q = A_K.shape[0]
         if A_K.shape != (q, q):
             raise DimensionError("A_K must be square")
         if B_K.shape[0] != q or C_K.shape[1] != q:
             raise DimensionError("B_K/C_K dimensions inconsistent with A_K")
-        for name, val in (("A_K", A_K), ("B_K", B_K), ("C_K", C_K)):
-            val = val.copy()
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
+        set_fields(self, A_K=A_K, B_K=B_K, C_K=C_K)
 
     @property
     def order(self) -> int:
@@ -173,26 +153,15 @@ class DynController:
 
     @classmethod
     def from_packed(cls, K, m1: int, m2: int) -> "DynController":
-        K = _mat(K, "K")
+        K = frozen_matrix(K, "K")
         return cls(K[m1:, m2:], K[m1:, :m2], K[:m1, m2:])
 
     def to_dict(self) -> dict:
-        return {
-            "A_K": self.A_K.tolist(),
-            "B_K": self.B_K.tolist(),
-            "C_K": self.C_K.tolist(),
-        }
+        return {k: getattr(self, k).tolist() for k in self.KEYS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DynController":
-        missing = {"A_K", "B_K", "C_K"} - set(data)
-        if missing:
-            raise ValueError(f"controller JSON missing keys: {sorted(missing)}")
-        return cls(
-            np.asarray(data["A_K"], dtype=float),
-            np.asarray(data["B_K"], dtype=float),
-            np.asarray(data["C_K"], dtype=float),
-        )
+        return cls(*json_values(data, cls.KEYS, "controller"))
 
 
 @dataclass(frozen=True)
@@ -426,20 +395,14 @@ class LqrProblem:
     riccati: solvers.SolveReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = _mat(self.A, "A")
-        B = _mat(self.B, "B")
-        Q = _check_spd(self.Q, "Q")
-        R = _check_spd(self.R, "R")
+        A, B = frozen_matrix(self.A, "A"), frozen_matrix(self.B, "B")
+        Q, R = _check_spd(self.Q, "Q"), _check_spd(self.R, "R")
         if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0]:
             raise DimensionError("A/B dimensions inconsistent")
         if Q.shape[0] != A.shape[0] or R.shape[0] != B.shape[1]:
             raise DimensionError("Q/R dimensions inconsistent")
-        for name, val in (("A", A), ("B", B), ("Q", Q), ("R", R)):
-            val = val.copy()
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "riccati", _riccati(
-            "problem is not stabilizable", self.A, self.B, self.Q, self.R))
+        set_fields(self, A=A, B=B, Q=Q, R=R,
+                   riccati=_riccati("problem is not stabilizable", A, B, Q, R))
 
     def closed_loop(self, K) -> np.ndarray:
         return self.A - self.B @ np.atleast_2d(np.asarray(K, dtype=float))

@@ -9,7 +9,9 @@ the Hamiltonian level-set iteration, balanced-truncation minimal
 realizations, and conversion from scalar rational functions.
 
 All operations are pure; `StateSpace` values are immutable after
-construction and safe to share across threads.  A system's real Schur form
+construction and safe to share across threads.  Every matrix field of a
+problem record, here and in `lqg` and `youla`, is a `frozen_matrix`: a
+finite, 2-D, read-only float copy.  A system's real Schur form
 (`StateSpace.form`) is computed on first use and kept with it; every
 stability decision, pole, Gramian and H2 value of the system reads that one
 form.
@@ -41,13 +43,31 @@ HINF_TOL = 1e-10
 AXIS_TOL = 1e-10
 
 
-def _as_matrix(value, name):
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
+def frozen_matrix(value, name: str) -> np.ndarray:
+    """value as a finite, 2-D, read-only float copy: the one check of every
+    matrix field of a problem record.  A bad value raises DimensionError or
+    ValueError naming the field."""
+    arr = np.array(value, dtype=float, order="C", ndmin=2)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
     return arr
+
+
+def set_fields(record, **values) -> None:
+    """Set the fields of a frozen dataclass record from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+
+
+def json_values(data: dict, keys, what: str) -> list:
+    """A JSON record's values at keys, in order; missing keys raise ValueError."""
+    missing = set(keys) - set(data)
+    if missing:
+        raise ValueError(f"{what} JSON missing keys: {sorted(missing)}")
+    return [data[k] for k in keys]
 
 
 @dataclass(frozen=True)
@@ -59,11 +79,10 @@ class StateSpace:
     C: np.ndarray
     D: np.ndarray
 
+    KEYS = ("A", "B", "C", "D")
+
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        B = _as_matrix(self.B, "B")
-        C = _as_matrix(self.C, "C")
-        D = _as_matrix(self.D, "D")
+        A, B, C, D = (frozen_matrix(getattr(self, k), k) for k in self.KEYS)
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionError(f"A must be square, got {A.shape}")
@@ -75,10 +94,7 @@ class StateSpace:
             raise DimensionError(
                 f"D has shape {D.shape}, expected {(C.shape[0], B.shape[1])}"
             )
-        for name, arr in (("A", A), ("B", B), ("C", C), ("D", D)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        set_fields(self, A=A, B=B, C=C, D=D)
 
     @property
     def n_states(self) -> int:
@@ -111,26 +127,15 @@ class StateSpace:
         return StateSpace(self.A, self.B, self.C, D)
 
     def to_dict(self) -> dict:
-        return {
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-            "D": self.D.tolist(),
-        }
+        return {k: getattr(self, k).tolist() for k in self.KEYS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "StateSpace":
-        missing = {"A", "B", "C", "D"} - set(data)
-        if missing:
-            raise ValueError(f"state-space JSON missing keys: {sorted(missing)}")
-        D = np.asarray(data["D"], dtype=float)
-        n = len(data["A"])
-        return cls(
-            np.asarray(data["A"], dtype=float) if n else np.zeros((0, 0)),
-            np.asarray(data["B"], dtype=float) if n else np.zeros((0, D.shape[1])),
-            np.asarray(data["C"], dtype=float).reshape(D.shape[0], n),
-            D,
-        )
+        A, B, C, D = json_values(data, cls.KEYS, "state-space")
+        D = np.asarray(D, dtype=float)
+        n = len(A)
+        return cls(A if n else np.zeros((0, 0)), B if n else np.zeros((0, D.shape[1])),
+                   np.asarray(C, dtype=float).reshape(D.shape[0], n), D)
 
 
 def zero_system(n_outputs: int, n_inputs: int) -> StateSpace:

@@ -46,6 +46,7 @@ from .lqg import ClosedLoop, DynController, LqgPlant, close_loop, lqg_cost, pert
 from .solvers import SchurForm, psd_sqrt, solve
 from .ss import (
     StateSpace,
+    frozen_matrix,
     gramian_obsv,
     h2_inner,
     h2_norm_sq,
@@ -54,6 +55,7 @@ from .ss import (
     parallel,
     scaled,
     series,
+    set_fields,
     static_gain,
     zero_system,
 )
@@ -150,9 +152,7 @@ class YoulaIterate:
     Q_stat: np.ndarray
 
     def __post_init__(self):
-        stat = np.atleast_2d(np.asarray(self.Q_stat, dtype=float)).copy()
-        stat.setflags(write=False)
-        object.__setattr__(self, "Q_stat", stat)
+        set_fields(self, Q_stat=frozen_matrix(self.Q_stat, "Q_stat"))
 
     @classmethod
     def zero(cls, nom: NominalLft) -> "YoulaIterate":

@@ -203,6 +203,17 @@ class TestOptimize:
         original = json.loads((io_dir / "ctrl.json").read_text())
         assert saved_ctrl == original
 
+    def test_diverging_descent_exits_3_unwritten(self, runner, io_dir):
+        # L = 70.7 on this nominal: a fixed 0.1 step ends at a cost of 4.93e8
+        out = io_dir / "div.csv"
+        result = runner.invoke(
+            main, ["optimize", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl_ex2.json"),
+                   "--eta", "0.1", "--iters", "14", "--out", str(out)],
+        )
+        assert result.exit_code == 3
+        assert "lifted descent diverged" in result.output
+        assert not out.exists()
 
     def test_saved_controller_certifies_after_long_descent(self, runner, io_dir):
         # 200 iterations from the example-2 controller, where a truncation of
@@ -292,6 +303,17 @@ class TestExitCodes:
         )
         assert result.exit_code == 2, result.output
         assert not out.exists()
+
+    def test_3d_matrix_exits_2(self, runner, io_dir):
+        ctrl = example2_controller().to_dict()
+        ctrl["B_K"] = [[row] for row in ctrl["B_K"]]
+        bad = io_dir / "ctrl_3d.json"
+        bad.write_text(json.dumps(ctrl))
+        result = runner.invoke(
+            main, ["certify", "--plant", str(io_dir / "plant.json"), "--controller", str(bad)],
+        )
+        assert result.exit_code == 2
+        assert "B_K must be a 2-D matrix, got ndim=3" in result.output
 
     def test_linalg_error_exits_3(self, runner, io_dir, monkeypatch):
         def fail(*args, **kwargs):

@@ -7,7 +7,9 @@ from scipy.optimize import minimize_scalar
 
 from conftest import freq_response_fast, random_stable_ss
 from _reference import para_conjugate, stable_projection
+from lqgpo.benchmarks import example1_plant, example2_controller
 from lqgpo.errors import AxisPoleError, DimensionError, UnstableError
+from lqgpo.lqg import DynController, LqgPlant, LqrProblem
 from lqgpo.ss import (
     HINF_TOL,
     RationalScalar,
@@ -28,12 +30,28 @@ from lqgpo.ss import (
     zero_system,
     _peak_gain,
 )
-from lqgpo.youla import build_nominal, estimate_smoothness
+from lqgpo.youla import YoulaIterate, build_nominal, estimate_smoothness
 
 
 def lag(pole=1.0, gain=1.0):
     """gain / (s + pole)."""
     return StateSpace([[-pole]], [[1.0]], [[gain]], [[0.0]])
+
+
+def record_inputs(record):
+    """Valid constructor inputs of a problem record, as fresh caller arrays."""
+    plant = {k: np.array(v) for k, v in example1_plant().to_dict().items()}
+    return {
+        StateSpace: {"A": -np.eye(2), "B": np.ones((2, 1)), "C": np.ones((1, 2)),
+                     "D": np.zeros((1, 1))},
+        LqgPlant: plant,
+        DynController: {k: np.array(v) for k, v in example2_controller().to_dict().items()},
+        LqrProblem: {k: plant[k] for k in "ABQR"},
+        YoulaIterate: {"Q_dyn": zero_system(2, 2), "Q_stat": np.ones((2, 2))},
+    }[record]
+
+
+RECORDS = [StateSpace, LqgPlant, DynController, LqrProblem, YoulaIterate]
 
 
 class TestStateSpace:
@@ -46,6 +64,18 @@ class TestStateSpace:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             StateSpace([[np.nan]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="^Q_stat contains non-finite entries$"):
+            YoulaIterate(zero_system(2, 2), [[0.0, np.inf], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("record, field", [
+        (record, field) for record in RECORDS for field in record_inputs(record)
+        if field != "Q_dyn"
+    ])
+    def test_rejects_3d_matrix(self, record, field):
+        inputs = record_inputs(record)
+        inputs[field] = inputs[field][None]
+        with pytest.raises(DimensionError, match=f"^{field} must be a 2-D matrix, got ndim=3$"):
+            record(**inputs)
 
     def test_stability_query(self):
         assert lag(1.0).is_stable()
@@ -57,10 +87,18 @@ class TestStateSpace:
         assert lag().is_strictly_proper()
         assert not lag().with_feedthrough([[2.0]]).is_strictly_proper()
 
-    def test_immutable(self):
-        g = lag()
-        with pytest.raises(ValueError):
-            g.A[0, 0] = 3.0
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+    def test_immutable(self, record):
+        inputs = record_inputs(record)
+        rec = record(**inputs)
+        for name, value in inputs.items():
+            if name == "Q_dyn":
+                continue
+            field, before = getattr(rec, name), value.copy()
+            with pytest.raises(ValueError):
+                field[0, 0] = 3.0
+            value += 1.0  # the caller's array, after construction
+            assert np.array_equal(field, before)
 
     def test_json_round_trip(self):
         g = random_stable_ss(np.random.default_rng(0), 3, 2, 2, proper=True)
