@@ -29,6 +29,7 @@ from .lqg import (
     close_loop,
     lqg_cost,
     lqr_terms,
+    mask_block,
 )
 
 TOL_GRAD = 1e-6
@@ -171,8 +172,8 @@ def certify(
     cl = close_loop(plant, ctrl)
     cost = lqg_cost(cl)
     cm = build_certificate_matrices(plant, ctrl, cl)
-    first = cm.Cterm @ cm.Bterm  # without its structural zero, half the gradient
-    first[: plant.n_inputs, : plant.n_outputs] = 0.0
+    # without its structural zero, half the gradient
+    first = mask_block(cm.Cterm @ cm.Bterm, plant.n_inputs, plant.n_outputs)
     grad_norm = 2.0 * float(np.linalg.norm(first, "fro"))
     raw, normalized = markov_test(cm, cl.Acl, cl.n + cl.q)
     stationary = grad_norm <= tol_grad * (1.0 + abs(cost))

@@ -7,7 +7,10 @@ Conventions
 The plant is  dx = A x + B u + w,  y = C x + v  with noise intensities
 W, V and quadratic weights Q, R.  The controller is the triple
 (A_K, B_K, C_K):  dxh = A_K xh + B_K y,  u = C_K xh,  packed as the
-structured matrix [[0, C_K], [B_K, A_K]] whose top-left block is zero.
+structured matrix [[0, C_K], [B_K, A_K]] (rows u | xh, columns y | xh)
+whose top-left block is structurally zero.  The certificate's first Markov
+parameter and the LQG gradient share the layout, stated once by `unpack` and
+`mask_block`; a controller grows states by appending them to its packed matrix.
 
 For the LQR case the gain enters the loop negatively (u = -K x, closed
 loop A - B K), so the unique stationary gain is the Riccati gain
@@ -117,6 +120,18 @@ class LqgPlant:
         return cls(*json_values(data, cls.KEYS, "plant"))
 
 
+def unpack(K: np.ndarray, m1: int, m2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A_K, B_K, C_K) of a packed matrix whose structural block is m1 x m2."""
+    return K[m1:, m2:], K[m1:, :m2], K[:m1, m2:]
+
+
+def mask_block(M: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Zero the top-left rows x cols block, leaving the rest unchanged."""
+    out = np.array(M, dtype=float, copy=True)
+    out[:rows, :cols] = 0.0
+    return out
+
+
 @dataclass(frozen=True)
 class DynController:
     """Dynamic output-feedback controller triple (A_K, B_K, C_K)."""
@@ -153,8 +168,7 @@ class DynController:
 
     @classmethod
     def from_packed(cls, K, m1: int, m2: int) -> "DynController":
-        K = frozen_matrix(K, "K")
-        return cls(K[m1:, m2:], K[m1:, :m2], K[:m1, m2:])
+        return cls(*unpack(frozen_matrix(K, "K"), m1, m2))
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k).tolist() for k in self.KEYS}
@@ -296,16 +310,14 @@ def lqg_gradient(
     if cl is None:
         cl = close_loop(plant, ctrl)
     cm = build_certificate_matrices(plant, ctrl, cl)
-    G = 2.0 * (cm.Cterm @ cm.Bterm)
-    m1, m2 = plant.n_inputs, plant.n_outputs
-    return G[m1:, m2:], G[m1:, :m2], G[:m1, m2:]
+    return unpack(2.0 * (cm.Cterm @ cm.Bterm), plant.n_inputs, plant.n_outputs)
 
 
 def lqg_optimal(plant: LqgPlant, order: int | None = None) -> DynController:
-    """Riccati synthesis of the optimal controller, zero-padded to `order`.
+    """Riccati synthesis of the optimal controller, padded to `order`.
 
-    Requires order >= n; the padding block is -I with zero couplings so the
-    padded controller has identical cost and remains a stationary point.
+    Requires order >= n; padding appends order - n decoupled states (state
+    matrix -I) to the packed matrix: same cost, still a stationary point.
     """
     n = plant.n
     q = n if order is None else int(order)
@@ -315,18 +327,11 @@ def lqg_optimal(plant: LqgPlant, order: int | None = None) -> DynController:
     K = np.linalg.solve(plant.R, plant.B.T @ P)
     H = solvers.care(plant.A.T, plant.C.T, plant.W, plant.V).solution
     L = np.linalg.solve(plant.V, plant.C @ H).T
-    A_K = plant.A - plant.B @ K - L @ plant.C
-    B_K = L
-    C_K = -K
-    if q > n:
-        pad = q - n
-        A_full = np.zeros((q, q))
-        A_full[:n, :n] = A_K
-        A_full[n:, n:] = -np.eye(pad)
-        B_full = np.vstack([B_K, np.zeros((pad, B_K.shape[1]))])
-        C_full = np.hstack([C_K, np.zeros((C_K.shape[0], pad))])
-        return DynController(A_full, B_full, C_full)
-    return DynController(A_K, B_K, C_K)
+    packed = DynController(plant.A - plant.B @ K - L @ plant.C, L, -K).as_packed()
+    (rows, cols), pad = packed.shape, q - n
+    return DynController.from_packed(
+        np.block([[packed, np.zeros((rows, pad))], [np.zeros((pad, cols)), -np.eye(pad)]]),
+        plant.n_inputs, plant.n_outputs)
 
 
 @dataclass(frozen=True)

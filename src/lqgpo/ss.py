@@ -140,12 +140,7 @@ class StateSpace:
 
 def zero_system(n_outputs: int, n_inputs: int) -> StateSpace:
     """The identically-zero transfer matrix with no states."""
-    return StateSpace(
-        np.zeros((0, 0)),
-        np.zeros((0, n_inputs)),
-        np.zeros((n_outputs, 0)),
-        np.zeros((n_outputs, n_inputs)),
-    )
+    return static_gain(np.zeros((n_outputs, n_inputs)))
 
 
 def static_gain(D) -> StateSpace:
@@ -320,7 +315,7 @@ def _balanced_truncation_stable(g: StateSpace, tol: float) -> StateSpace:
         return g
     (Lc, norm_c), (Lo, norm_o) = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
     if Lc.shape[1] == 0 or Lo.shape[1] == 0:
-        return zero_system(g.n_outputs, g.n_inputs).with_feedthrough(g.D)
+        return static_gain(g.D)
     U, sv, Vt = np.linalg.svd(Lo.T @ Lc, full_matrices=False)
     # Drop both the relatively negligible directions and anything at the
     # numerical noise floor of the factored product.
@@ -328,7 +323,7 @@ def _balanced_truncation_stable(g: StateSpace, tol: float) -> StateSpace:
     thresh = max(tol * (sv[0] if sv.size else 0.0), floor)
     r = int(np.sum(sv > thresh))
     if r == 0:
-        return zero_system(g.n_outputs, g.n_inputs).with_feedthrough(g.D)
+        return static_gain(g.D)
     s_half = 1.0 / np.sqrt(sv[:r])
     T = Lc @ Vt[:r].T * s_half
     Tinv = (U[:, :r] * s_half).T @ Lo.T

@@ -23,6 +23,7 @@ from numpy.linalg import matrix_power
 
 from . import solvers
 from .errors import IdentifiabilityError
+from .lqg import mask_block
 from .ss import RationalScalar, StateSpace, _check_h2, freq_response, parallel, scaled
 from .youla import NominalLft, YoulaIterate, lifted_cost
 
@@ -377,9 +378,7 @@ class ZoConfig:
 def _masked_positions(shape, mask_rows, mask_cols):
     """Row and column indices of the entries outside the top-left mask
     block, in row-major order."""
-    free = np.ones(shape, dtype=bool)
-    free[:mask_rows, :mask_cols] = False
-    return np.nonzero(free)
+    return np.nonzero(mask_block(np.ones(shape), mask_rows, mask_cols))
 
 
 def zo_gradient_estimate(cost_fn, shape, mask_rows, mask_cols, cfg: ZoConfig) -> np.ndarray:

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UnstableError
-from .lqg import ClosedLoop, DynController, LqgPlant, close_loop, lqg_cost, perturbation_channels
+from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, lqg_cost, mask_block,
+                  perturbation_channels)
 from .solvers import SchurForm, psd_sqrt, solve
 from .ss import (
     StateSpace,
@@ -178,13 +179,6 @@ class YoulaIterate:
         return self.Q_dyn.with_feedthrough(self.Q_stat)
 
 
-def mask_block(M: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Zero the top-left rows x cols block, leaving the rest unchanged."""
-    out = np.array(M, dtype=float, copy=True)
-    out[:rows, :cols] = 0.0
-    return out
-
-
 def inner_u(a: tuple[StateSpace, np.ndarray], b: tuple[StateSpace, np.ndarray]) -> float:
     """Inner product on the lifted space: H2 pairing plus Frobenius pairing."""
     ga, ma = a
@@ -202,18 +196,15 @@ def _performance_map(nom: NominalLft, it: YoulaIterate) -> StateSpace:
 
     It is realized as [M11 M12] [I; Q M21], with states closed loop | Q_dyn |
     closed loop, so its A is block upper triangular with quasi-triangular
-    diagonal blocks: it is its own Schur form.  A nonzero feedthrough would
-    mean the mask invariant was violated and is raised as fatal.
+    diagonal blocks: it is its own Schur form.  Its feedthrough D12 Q_stat D21
+    reads only Q_stat's mask block, which `validate` requires to be exactly 0.
     """
     it.validate(nom)
     qm = series(_on_basis(it.combined(), it.Q_dyn.form), nom.M21)
     w = nom.M21.n_inputs  # the noise channels, passed to M11 unchanged
     tail = StateSpace(qm.A, qm.B, np.vstack([np.zeros((w, qm.n_states)), qm.C]),
                       np.vstack([np.eye(w), qm.D]))
-    T = series(nom._head, tail)
-    if np.max(np.abs(T.D)) > 1e-9 * max(1.0, np.max(np.abs(it.Q_stat))):
-        raise ArithmeticError("performance map is not strictly proper: mask violated")
-    return T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs)))
+    return series(nom._head, tail)
 
 
 def _cost_and_sensitivity(nom: NominalLft, it: YoulaIterate) -> tuple[float, StateSpace]:
@@ -410,37 +401,22 @@ def reconstruct_controller_delta(nom: NominalLft, it: YoulaIterate) -> StateSpac
 def assemble_controller(ctrl0: DynController, delta: StateSpace) -> DynController:
     """Absorb a controller perturbation DeltaK into the base controller.
 
-    DeltaK feeds back around the base controller's state equation: its
-    output splits into a direct control correction and a filter-state
-    correction, and its inputs are the measurement and the filter state.
-    The top-left feedthrough block of DeltaK must be zero so the assembled
-    controller remains strictly proper.  The result is reduced here, once;
-    a DeltaK whose transfer function is zero gives back ctrl0 itself.
+    DeltaK has the packed layout (outputs u | x_K, inputs y | x_K), and its
+    states are appended to the packed matrix: [[packed(ctrl0) + D, C], [B, A]]
+    with rows u | x_K | x_Delta and columns y | x_K | x_Delta.  D's top-left
+    block must be zero so the controller remains strictly proper.  The result
+    is reduced here, once; a DeltaK whose transfer function is zero gives
+    back ctrl0 itself.
     """
-    q = ctrl0.order
-    m1 = ctrl0.C_K.shape[0]
-    m2 = ctrl0.B_K.shape[1]
-    if (delta.n_outputs, delta.n_inputs) != (m1 + q, m2 + q):
+    m1, m2 = ctrl0.C_K.shape[0], ctrl0.B_K.shape[1]
+    if (delta.n_outputs, delta.n_inputs) != (m1 + ctrl0.order, m2 + ctrl0.order):
         raise DimensionError("delta has wrong dimensions for this controller")
     if not np.any(delta.D) and not (np.any(delta.B) and np.any(delta.C)):
         return ctrl0
     D = delta.D
     if np.max(np.abs(D[:m1, :m2])) > 1e-9 * max(1.0, np.max(np.abs(D))):
         raise ValueError("delta feedthrough mask block must be zero")
-    D12 = D[:m1, m2:]
-    D21 = D[m1:, :m2]
-    D22 = D[m1:, m2:]
-    C1d = delta.C[:m1, :]
-    C2d = delta.C[m1:, :]
-    B1d = delta.B[:, :m2]
-    B2d = delta.B[:, m2:]
-    nd = delta.n_states
-    A_new = np.zeros((q + nd, q + nd))
-    A_new[:q, :q] = ctrl0.A_K + D22
-    A_new[:q, q:] = C2d
-    A_new[q:, :q] = B2d
-    A_new[q:, q:] = delta.A
-    B_new = np.vstack([ctrl0.B_K + D21, B1d])
-    C_new = np.hstack([ctrl0.C_K + D12, C1d])
-    reduced = minreal(StateSpace(A_new, B_new, C_new, np.zeros((m1, m2))))
+    full = DynController.from_packed(
+        np.block([[ctrl0.as_packed() + D, delta.C], [delta.B, delta.A]]), m1, m2)
+    reduced = minreal(StateSpace(full.A_K, full.B_K, full.C_K, np.zeros((m1, m2))))
     return DynController(reduced.A, reduced.B, reduced.C)

@@ -9,7 +9,10 @@ function on the nominal's closed-loop form, the sensitivity system at the
 zero iterate; the LQG gradient as six block products of P and Sigma, where
 `lqg` reads it off the certificate's first Markov parameter; and the LQR
 gradient descent that evaluated every candidate gain in full (`lqr_terms`:
-Sigma_K and P_K), where `lqg` solves P_K only for the accepted one.  The
+Sigma_K and P_K), where `lqg` solves P_K only for the accepted one; the
+unreduced controller that `youla.assemble_controller` built from hand-sliced
+blocks of DeltaK, and the Riccati controller that `lqg_optimal` padded block
+by block, where both now append states to the packed matrix.  The
 para-conjugate and the stable projection, which only these references
 build on, live here too.
 
@@ -22,6 +25,7 @@ import math
 
 import numpy as np
 
+from lqgpo import solvers
 from lqgpo.errors import SolverError, UnstableError
 from lqgpo.lqg import (LQR_GAP_TOL, LQR_MAX_HALVINGS, LQR_STEP, build_certificate_matrices,
                        lqr_terms)
@@ -138,6 +142,53 @@ def lqg_gradient_blocks(plant, ctrl, cl):
     gB = 2.0 * (P22 @ ctrl.B_K @ plant.V + P2 @ S1.T @ plant.C.T)
     gC = 2.0 * (plant.R @ ctrl.C_K @ S22 + plant.B.T @ P1 @ S2.T)
     return gA, gB, gC
+
+
+def assembled_controller_blocks(ctrl0, delta):
+    """The unreduced controller of ctrl0 with DeltaK absorbed, as a strictly
+    proper system built from seven blocks of DeltaK: states x_K | x_Delta."""
+    q = ctrl0.order
+    m1 = ctrl0.C_K.shape[0]
+    m2 = ctrl0.B_K.shape[1]
+    D = delta.D
+    D12 = D[:m1, m2:]
+    D21 = D[m1:, :m2]
+    D22 = D[m1:, m2:]
+    C1d = delta.C[:m1, :]
+    C2d = delta.C[m1:, :]
+    B1d = delta.B[:, :m2]
+    B2d = delta.B[:, m2:]
+    nd = delta.n_states
+    A_new = np.zeros((q + nd, q + nd))
+    A_new[:q, :q] = ctrl0.A_K + D22
+    A_new[:q, q:] = C2d
+    A_new[q:, :q] = B2d
+    A_new[q:, q:] = delta.A
+    B_new = np.vstack([ctrl0.B_K + D21, B1d])
+    C_new = np.hstack([ctrl0.C_K + D12, C1d])
+    return StateSpace(A_new, B_new, C_new, np.zeros((m1, m2)))
+
+
+def lqg_optimal_blocks(plant, q):
+    """The Riccati controller's (A_K, B_K, C_K), zero-padded block by block
+    to order q >= n with -I on the padded states."""
+    n = plant.n
+    P = solvers.care(plant.A, plant.B, plant.Q, plant.R).solution
+    K = np.linalg.solve(plant.R, plant.B.T @ P)
+    H = solvers.care(plant.A.T, plant.C.T, plant.W, plant.V).solution
+    L = np.linalg.solve(plant.V, plant.C @ H).T
+    A_K = plant.A - plant.B @ K - L @ plant.C
+    B_K = L
+    C_K = -K
+    if q > n:
+        pad = q - n
+        A_full = np.zeros((q, q))
+        A_full[:n, :n] = A_K
+        A_full[n:, n:] = -np.eye(pad)
+        B_full = np.vstack([B_K, np.zeros((pad, B_K.shape[1]))])
+        C_full = np.hstack([C_K, np.zeros((C_K.shape[0], pad))])
+        return A_full, B_full, C_full
+    return A_K, B_K, C_K
 
 
 def sensitivity_dense(nom, it):

@@ -184,6 +184,12 @@ def random_stabilizing_controller(rng, plant, order=None, spread=0.2, max_tries=
     raise RuntimeError("failed to generate a stabilizing controller")
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def freq_response_fast(g, omegas):
     """Vectorized frequency response via eigendecomposition (test oracle path,
     independent of the solver-based implementation)."""

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import MASTER_SEED, load_perfbench, random_plant, random_stabilizing_controller
+from conftest import (MASTER_SEED, load_perfbench, random_plant, random_stabilizing_controller,
+                      same_bits)
 from _reference import (A_K_STAR, B_K_STAR, C_K_STAR, DISPLAY_TOL, lqg_gradient_blocks,
-                        lqr_gradient_descent_loop)
+                        lqg_optimal_blocks, lqr_gradient_descent_loop)
 from lqgpo import lqg, solvers
 from lqgpo.benchmarks import example1_plant
 from lqgpo.errors import SolverError, UnstableError
@@ -157,6 +158,15 @@ class TestSynthesis:
         assert j3 == pytest.approx(j2, rel=1e-10)
         grads = lqg_gradient(plant1, padded)
         assert max(np.linalg.norm(g) for g in grads) <= 1e-8
+
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_padding_on_the_packed_matrix_matches_block_padding(self, plant1, extra):
+        rng = np.random.default_rng(MASTER_SEED)
+        plants = [plant1, random_plant(rng, n=3, m1=2, m2=1), random_plant(rng, n=2, m1=1, m2=2)]
+        for plant in plants:
+            ctrl = lqg_optimal(plant, plant.n + extra)
+            want = lqg_optimal_blocks(plant, plant.n + extra)
+            assert all(map(same_bits, (ctrl.A_K, ctrl.B_K, ctrl.C_K), want))
 
     def test_order_below_plant_rejected(self, plant1):
         with pytest.raises(ValueError):

@@ -493,3 +493,19 @@ def test_no_module_subscripts_a_dict():
         and node.value.attr == "__dict__"
     ]
     assert offenders == []
+
+
+def test_only_lqg_defines_the_packed_layout():
+    """The packed controller layout and its structural zero are stated once,
+    in lqg: no other module defines mask_block or unpack, and the modules
+    that zero the structural block use lqg's mask_block itself."""
+    from lqgpo import certificate, lqg, sysid, youla
+
+    defined = {
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("mask_block", "unpack")
+    }
+    assert defined == {("lqg.py", "mask_block"), ("lqg.py", "unpack")}
+    assert certificate.mask_block is youla.mask_block is sysid.mask_block is lqg.mask_block

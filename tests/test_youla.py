@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import (MASTER_SEED, freq_response_fast, random_plant, random_spd,
-                      random_stabilizing_controller, random_stable_ss, record_schur_forms)
-from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, certificate_system,
-                        lifted_cost_dense, sensitivity_dense, sensitivity_projection_dense)
+                      random_stabilizing_controller, random_stable_ss, record_schur_forms,
+                      same_bits)
+from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, assembled_controller_blocks,
+                        certificate_system, lifted_cost_dense, sensitivity_dense,
+                        sensitivity_projection_dense)
 from lqgpo.certificate import Verdict, build_certificate_matrices, certify
-from lqgpo.lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal, perturbation_channels
+from lqgpo.lqg import (DynController, LqgPlant, close_loop, lqg_cost, lqg_optimal,
+                       perturbation_channels)
 from lqgpo.solvers import psd_sqrt
 from lqgpo.ss import (
     StateSpace,
@@ -23,6 +26,7 @@ from lqgpo.sysid import LaguerreBasis
 from lqgpo.youla import (
     TRUNC_TOL,
     IterateRecord,
+    _performance_map,
     YoulaIterate,
     assemble_controller,
     build_nominal,
@@ -222,6 +226,17 @@ class TestLiftedCost:
         bad_stat[0, 0] = 0.5
         with pytest.raises(ValueError, match="mask"):
             lifted_cost(nom_ex2, YoulaIterate(zero_system(3, 3), bad_stat))
+
+    @pytest.mark.parametrize("scale", [0.5, 1e3])
+    def test_valid_iterate_gives_exactly_zero_feedthrough(self, nom_ex2, nom_random8, rng,
+                                                          scale):
+        # D12 Q_stat D21 reaches Q_stat only through its mask block, which
+        # validate requires to be exactly zero: no tolerance is needed
+        for nom in (nom_ex2, nom_random8):
+            for _ in range(3):
+                it = random_iterate(rng, nom, scale=scale)
+                it.validate(nom)
+                assert not np.any(_performance_map(nom, it).D)
 
 
 class TestDescentRun:
@@ -495,6 +510,24 @@ class TestAssemble:
             a = freq_response(tgt, w)
             b = freq_response(reb, w)
             assert np.abs(a - b).max() <= 1e-8 * max(1.0, np.abs(a).max())
+
+    @pytest.mark.parametrize("m1, m2, q", [(1, 1, 2), (2, 1, 3), (1, 2, 1), (2, 3, 4)])
+    def test_unreduced_controller_matches_block_assembly(self, monkeypatch, m1, m2, q):
+        import lqgpo.youla as youla
+
+        reduced = []
+        monkeypatch.setattr(youla, "minreal", lambda g, *args, **kwargs: reduced.append(g) or g)
+        rng = np.random.default_rng(MASTER_SEED + 10 * m1 + m2)
+        for nd in (0, 1, 3):
+            ctrl0 = DynController(rng.normal(size=(q, q)), rng.normal(size=(q, m2)),
+                                  rng.normal(size=(m1, q)))
+            D = rng.normal(size=(m1 + q, m2 + q))
+            D[:m1, :m2] *= 1e-12  # within the mask check's tolerance
+            delta = StateSpace(rng.normal(size=(nd, nd)), rng.normal(size=(nd, m2 + q)),
+                               rng.normal(size=(m1 + q, nd)), D)
+            assemble_controller(ctrl0, delta)
+            got, want = reduced.pop(), assembled_controller_blocks(ctrl0, delta)
+            assert all(same_bits(getattr(got, k), getattr(want, k)) for k in "ABCD")
 
     def test_mask_violating_delta_rejected(self, ctrl_stationary):
         bad = np.zeros((3, 3))
