@@ -27,7 +27,12 @@ once, on first use, and reads its eigenvalues off T's diagonal, with the
 2 x 2 block arithmetic only where T has such a block.  So the Sigma_K and
 P_K solves on one LQR loop share one gap, a Sylvester solve on two forms
 computes its own, and a rejected LQR candidate costs one gees call and at
-most one Lyapunov solve.  Riccati solutions are polished by Newton-Kleinman."""
+most one Lyapunov solve.  Riccati solutions are polished by Newton-Kleinman.
+A certified Gramian, positive semidefinite and often rank deficient, is split
+into a factor L L^T by one LAPACK pstrf call (`psd_factor`): Cholesky with
+complete pivoting, backward stable on a semidefinite matrix and rank
+revealing (Higham 1990), the factorization of square-root balanced truncation
+(Tombs & Postlethwaite 1987)."""
 
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgees, dtrsen, dtrsyl
+from scipy.linalg.lapack import dgees, dpstrf, dtrsen, dtrsyl
 
 from .errors import DimensionError, SolverError
 
@@ -44,6 +49,9 @@ from .errors import DimensionError, SolverError
 EPS_STAB = 1e-9
 # psd_sqrt zeroes eigenvalues below PSD_CLIP times the largest (at least 1).
 PSD_CLIP = 1e-12
+# psd_factor stops at the first pivot at or below PSD_CUT times M's largest
+# diagonal entry: the round-off directions of a Gramian.
+PSD_CUT = 1e-14
 # Newton-Kleinman polishing steps allowed after care's Schur-method seed.
 MAX_NEWTON = 50
 # Largest side, in states, of an equation solved by one LAPACK trsyl call;
@@ -309,6 +317,22 @@ def psd_sqrt(M) -> np.ndarray:
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     w = np.where(w > PSD_CLIP * max(1.0, abs(w).max()), w, 0.0)
     return (V * np.sqrt(w)) @ V.T
+
+
+def psd_factor(M) -> np.ndarray:
+    """L, n x rank, with L L^T = M up to round-off, for a symmetric positive
+    semidefinite M such as a certified Gramian: one LAPACK pstrf call
+    (Cholesky with complete pivoting, lower triangle of M read), its rows put
+    back in M's order.  The factorization stops at the first pivot at or
+    below PSD_CUT times M's largest diagonal entry, so the directions of M
+    below that are dropped as round-off; a zero M gives an n x 0 factor."""
+    M = _square(M, "M")
+    n = M.shape[0]
+    tol = PSD_CUT * max(M.diagonal().max(initial=0.0), 0.0)
+    c, piv, rank, _ = dpstrf(M, tol=tol, lower=1)
+    L = np.empty((n, rank))
+    L[piv - 1] = np.tril(c[:, :rank])
+    return L
 
 
 def lyap_ct(A, Qrhs) -> SolveReport:

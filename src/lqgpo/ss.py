@@ -295,43 +295,57 @@ def _mirror(g: StateSpace) -> StateSpace:
     return StateSpace(-g.A, g.B, -g.C, g.D)
 
 
-def _psd_factor(M):
-    """L with L L^T = M for a Gramian M, dropping its round-off directions,
-    and ||L||_2, the square root of M's largest eigenvalue."""
-    w, V = np.linalg.eigh(M)
-    w = np.clip(w, 0.0, None)
-    top = w.max() if w.size else 0.0
-    keep = w > top * 1e-14
-    if not np.any(keep):
-        return np.zeros((M.shape[0], 0)), 0.0
-    return V[:, keep] * np.sqrt(w[keep]), float(np.sqrt(top))
+def _balanced_truncation_stable(g: StateSpace, tol: float) -> tuple[StateSpace, float]:
+    """Square-root balanced truncation of a stable system (Tombs &
+    Postlethwaite 1987), and the squared H2 norm of the strictly proper part
+    of what it returns.
 
-
-def _balanced_truncation_stable(g: StateSpace, tol: float) -> StateSpace:
-    """Square-root balanced truncation of a stable system.  It keeps stability
-    only in exact arithmetic, so a reduced realization that is not stable is
-    discarded and g returned."""
+    Both Gramians, solved and certified by `solvers.solve`, are factored by
+    `solvers.psd_factor` (pivoted Cholesky), P = Lc Lc^T and X = Lo Lo^T; the
+    round-off cut drops the directions of each whose pivot falls at or below
+    1e-14 times its largest diagonal entry.  The Hankel values are the
+    singular values sigma of Lo^T Lc, and those above tol sigma_1 and above
+    the product's noise floor 30 eps ||Lo||_2 ||Lc||_2 are kept; the 2-norms
+    are computed only when the floor's Frobenius-norm bound reaches
+    tol sigma_1.  The reduced realization is balanced, with observability
+    Gramian diag(sigma) on the kept values, so its norm is
+    sum_i sigma_i ||row i of B_r||^2, without another solve.  Truncation keeps
+    stability only in exact arithmetic, so a reduced realization that is not
+    stable is discarded and g returned, with its norm ||Lo^T B||_F^2.
+    """
     if g.n_states == 0:
-        return g
-    (Lc, norm_c), (Lo, norm_o) = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
+        return g, 0.0
+    Lc, Lo = solvers.psd_factor(gramian_ctrb(g)), solvers.psd_factor(gramian_obsv(g))
     if Lc.shape[1] == 0 or Lo.shape[1] == 0:
-        return static_gain(g.D)
+        return static_gain(g.D), 0.0
     U, sv, Vt = np.linalg.svd(Lo.T @ Lc, full_matrices=False)
-    # Drop both the relatively negligible directions and anything at the
-    # numerical noise floor of the factored product.
-    floor = 30 * np.finfo(float).eps * norm_o * norm_c
-    thresh = max(tol * (sv[0] if sv.size else 0.0), floor)
+    thresh = tol * sv[0]
+    noise = 30 * np.finfo(float).eps
+    # the noise floor binds only if its Frobenius-norm bound reaches thresh
+    if noise * np.linalg.norm(Lo) * np.linalg.norm(Lc) > thresh:
+        thresh = max(thresh, noise * np.linalg.norm(Lo, 2) * np.linalg.norm(Lc, 2))
     r = int(np.sum(sv > thresh))
     if r == 0:
-        return static_gain(g.D)
+        return static_gain(g.D), 0.0
     s_half = 1.0 / np.sqrt(sv[:r])
     T = Lc @ Vt[:r].T * s_half
     Tinv = (U[:, :r] * s_half).T @ Lo.T
-    red = StateSpace(Tinv @ g.A @ T, Tinv @ g.B, g.C @ T, g.D)
+    Br = Tinv @ g.B
+    red = StateSpace(Tinv @ g.A @ T, Br, g.C @ T, g.D)
     if red.is_stable():
-        return red
+        return red, float(sv[:r] @ (Br * Br).sum(axis=1))
     logger.debug("discarding marginal truncation (%d states kept)", red.n_states)
-    return g
+    LoB = Lo.T @ g.B
+    return g, float((LoB * LoB).sum())
+
+
+def minreal_h2(g: StateSpace, tol: float = MINREAL_TOL) -> tuple[StateSpace, float]:
+    """`minreal` of a stable, strictly proper system, and the squared H2 norm
+    of the result, read off the truncation's own Hankel values and factors
+    (see `_balanced_truncation_stable`): no Gramian is solved for the norm.
+    Raises as `h2_norm_sq` does."""
+    _check_h2(g, "minreal_h2")
+    return _balanced_truncation_stable(g, tol)
 
 
 def minreal(g: StateSpace, tol: float = MINREAL_TOL) -> StateSpace:
@@ -343,10 +357,10 @@ def minreal(g: StateSpace, tol: float = MINREAL_TOL) -> StateSpace:
     side of the axis is kept unreduced, so a stable system stays stable.
     """
     if g.form.is_stable(EPS_SPLIT):
-        return _balanced_truncation_stable(g, tol)
+        return _balanced_truncation_stable(g, tol)[0]
     stable, anti = stable_antistable_split(g)
-    red_s = _balanced_truncation_stable(stable, tol)
-    red_a = _mirror(_balanced_truncation_stable(_mirror(anti), tol))
+    red_s = _balanced_truncation_stable(stable, tol)[0]
+    red_a = _mirror(_balanced_truncation_stable(_mirror(anti), tol)[0])
     return parallel(red_s, red_a, 1)
 
 
@@ -372,6 +386,34 @@ def _axis_crossings(g: StateSpace, gamma: float) -> np.ndarray:
     return np.sort(eigs.imag[on_axis & (eigs.imag > 0)])
 
 
+def _inverse_frequency(g: StateSpace) -> StateSpace:
+    """G(1/s) = (A^-1, A^-1 B, -C A^-1, D - C A^-1 B) for an invertible A: the
+    gain of G at w is its gain at 1/w, so G's limit w -> infinity is its
+    point w = 0, and its feedthrough is G(0)."""
+    Ainv = np.linalg.inv(g.A)
+    AinvB = Ainv @ g.B
+    return StateSpace(Ainv, AinvB, -g.C @ Ainv, g.D - g.C @ AinvB)
+
+
+def _level_set(g: StateSpace, lb: float, crossings) -> tuple[float | None, float]:
+    """The level-set iteration on G from the lower bound lb > 0.  At the level
+    gamma = (1 + 2 HINF_TOL) lb, crossings(gamma) gives the sorted frequencies
+    where the gain of G crosses gamma, and lb rises to the largest gain at
+    the midpoints of consecutive crossings.  Returns gamma once no crossing
+    is left, or None when the midpoints do not raise lb (the axis test cannot
+    decide), each with the lb reached."""
+    while lb > 0:
+        gamma = (1.0 + 2.0 * HINF_TOL) * lb
+        w = crossings(gamma)
+        if w.size == 0:
+            return float(gamma), lb
+        peak = _peak_gain(g, 0.5 * (w[1:] + w[:-1]))
+        if not peak > lb:
+            break
+        lb = peak
+    return None, lb
+
+
 def hinf_norm_est(g: StateSpace) -> float:
     """The H-infinity norm of a stable system, bounded from above.
 
@@ -384,11 +426,14 @@ def hinf_norm_est(g: StateSpace) -> float:
     With no crossing left, gamma is returned, so that
     ||G|| <= value <= (1 + 2 HINF_TOL) ||G||.
 
-    When lb is 0, or crossings are found but their midpoints do not raise
-    lb, the axis test cannot decide (noise-level systems, or a peak at
-    w -> infinity); the Hankel bound sigma_max(D) + 2 sum(sigma_i) (Enns
-    1984; Glover 1984) is returned instead.  Raises UnstableError for an
-    unstable system.
+    As gamma approaches sigma_max(D), the gain's limit at w -> infinity, G's
+    Hamiltonian grows like 1 / (gamma - sigma_max(D)) and its axis test
+    stops deciding.  When the midpoints do not raise lb, the iteration goes
+    on from the lb reached on G(1/s), which has the same gains with w -> 1/w
+    and feedthrough G(0), so that limit is its well-scaled point w = 0.
+    When lb is 0 (a noise-level system), or neither realization decides,
+    the Hankel bound sigma_max(D) + 2 sum(sigma_i) (Enns 1984; Glover 1984)
+    is returned instead.  Raises UnstableError for an unstable system.
     """
     if not g.is_stable():
         raise UnstableError("hinf_norm_est requires a stable system")
@@ -397,16 +442,13 @@ def hinf_norm_est(g: StateSpace) -> float:
     if poles.size:
         probes.append(abs(poles[np.argmax(np.abs(poles.imag) / np.abs(poles))]))
     lb = max(np.linalg.norm(g.D, 2), _peak_gain(g, probes))
-    while lb > 0:
-        gamma = (1.0 + 2.0 * HINF_TOL) * lb
-        w = _axis_crossings(g, gamma)
-        if w.size == 0:
-            return float(gamma)
-        peak = _peak_gain(g, 0.5 * (w[1:] + w[:-1]))
-        if not peak > lb:
-            break
-        lb = peak
-    (Lc, _), (Lo, _) = _psd_factor(gramian_ctrb(g)), _psd_factor(gramian_obsv(g))
+    value, lb = _level_set(g, lb, lambda gamma: _axis_crossings(g, gamma))
+    if value is None and lb > 0:
+        inv = _inverse_frequency(g)
+        value, lb = _level_set(g, lb, lambda gamma: np.sort(1.0 / _axis_crossings(inv, gamma)))
+    if value is not None:
+        return value
+    Lc, Lo = solvers.psd_factor(gramian_ctrb(g)), solvers.psd_factor(gramian_obsv(g))
     hankel = np.linalg.svd(Lo.T @ Lc, compute_uv=False)
     return float(np.linalg.norm(g.D, 2) + 2.0 * hankel.sum())
 

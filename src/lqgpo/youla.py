@@ -53,6 +53,7 @@ from .ss import (
     h2_norm_sq,
     hinf_norm_est,
     minreal,
+    minreal_h2,
     parallel,
     scaled,
     series,
@@ -207,9 +208,12 @@ def _performance_map(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     return series(nom._head, tail)
 
 
-def _cost_and_sensitivity(nom: NominalLft, it: YoulaIterate) -> tuple[float, StateSpace]:
+def _cost_and_sensitivity(
+    nom: NominalLft, it: YoulaIterate
+) -> tuple[float, StateSpace, float]:
     """The cost ||T||_H2^2 and the sensitivity system S, from one
-    observability Gramian X_T of the performance map T (see `sensitivity`)."""
+    observability Gramian X_T of the performance map T (see `sensitivity`),
+    and ||S||_H2^2 as S's truncation reads it off (`ss.minreal_h2`)."""
     T = _performance_map(nom, it)
     X = gramian_obsv(T)
     cost = float(max(np.trace(T.B.T @ X @ T.B), 0.0))
@@ -219,7 +223,7 @@ def _cost_and_sensitivity(nom: NominalLft, it: YoulaIterate) -> tuple[float, Sta
     S = StateSpace(T.A, W @ M21.C.T + T.B @ M21.D.T,
                    M12.B.T @ X[:M12.n_states] + M12.D.T @ T.C,
                    np.zeros((M12.n_inputs, M21.n_outputs)))
-    return cost, minreal(S, TRUNC_TOL)
+    return (cost, *minreal_h2(S, TRUNC_TOL))
 
 
 def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
@@ -328,7 +332,9 @@ def run_lifted_gradient_descent(
     Per iteration: form the sensitivity S_k, subtract eta * S_k from Q_dyn
     (with balanced truncation), and subtract eta times the masked residue
     from Q_stat.  Records cost, gradient norm, and the dynamic order at
-    every iterate including the final one.  With eta None the step is
+    every iterate including the final one; the gradient norm is
+    `norm_u` of (S_k, masked residue), with ||S_k||_H2^2 read off S_k's
+    truncation rather than solved for.  With eta None the step is
     min(0.1, 1.9 / L) for the bound L of `estimate_smoothness`.  Raises
     ValueError unless a given eta is positive and finite.
     """
@@ -345,9 +351,9 @@ def run_lifted_gradient_descent(
     records: list[IterateRecord] = []
     t0 = time.perf_counter()
     for k in range(iters + 1):
-        cost, S = _cost_and_sensitivity(nom, it)
+        cost, S, s_h2 = _cost_and_sensitivity(nom, it)
         res_mask = _masked_residue(nom, S)
-        gnorm = norm_u((S, res_mask))
+        gnorm = float(np.sqrt(s_h2 + np.sum(res_mask * res_mask)))
         records.append(
             IterateRecord(k, cost, gnorm, it.Q_dyn.n_states, time.perf_counter() - t0)
         )

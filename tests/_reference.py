@@ -12,7 +12,9 @@ gradient descent that evaluated every candidate gain in full (`lqr_terms`:
 Sigma_K and P_K), where `lqg` solves P_K only for the accepted one; the
 unreduced controller that `youla.assemble_controller` built from hand-sliced
 blocks of DeltaK, and the Riccati controller that `lqg_optimal` padded block
-by block, where both now append states to the packed matrix.  The
+by block, where both now append states to the packed matrix; and the
+eigendecomposition factor of a Gramian that balanced truncation used, where
+`solvers.psd_factor` now runs a pivoted Cholesky factorization.  The
 para-conjugate and the stable projection, which only these references
 build on, live here too.
 
@@ -221,6 +223,19 @@ def sensitivity_projection_dense(nom, it):
     T = T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs)))
     S = stable_projection(series(para_conjugate(nom.M12), series(T, para_conjugate(nom.M21))))
     return minreal(S, TRUNC_TOL)
+
+
+def psd_factor_eigh(M):
+    """L with L L^T = M for a Gramian M, dropping its round-off directions,
+    and ||L||_2, the square root of M's largest eigenvalue: one
+    eigendecomposition, keeping the eigenvalues above 1e-14 of the largest."""
+    w, V = np.linalg.eigh(M)
+    w = np.clip(w, 0.0, None)
+    top = w.max() if w.size else 0.0
+    keep = w > top * 1e-14
+    if not np.any(keep):
+        return np.zeros((M.shape[0], 0)), 0.0
+    return V[:, keep] * np.sqrt(w[keep]), float(np.sqrt(top))
 
 
 def lqr_gradient_descent_loop(prob, K0, iters=5000):

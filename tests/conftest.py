@@ -49,20 +49,24 @@ def record_schur_forms(monkeypatch, record):
 
 @pytest.fixture()
 def factorizations(monkeypatch):
-    """Counts of Schur factorizations (under "schur"), numpy.linalg.eigvals
-    and numpy.linalg.solve calls."""
+    """Counts of Schur factorizations (under "schur"), pivoted Cholesky
+    factorizations of a Gramian (LAPACK pstrf, under "pstrf"), and
+    numpy.linalg.eigvals and numpy.linalg.solve calls."""
     counts = {}
 
     def count(name):
         counts[name] = counts.get(name, 0) + 1
 
-    record_schur_forms(monkeypatch, lambda A: count("schur"))
-    for name in ("eigvals", "solve"):
-        def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
-            count(_name)
-            return _orig(*args, **kwargs)
+    def counting(name, orig):
+        def counted(*args, **kwargs):
+            count(name)
+            return orig(*args, **kwargs)
+        return counted
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    record_schur_forms(monkeypatch, lambda A: count("schur"))
+    monkeypatch.setattr(solvers, "dpstrf", counting("pstrf", solvers.dpstrf))
+    for name in ("eigvals", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return counts
 
 
@@ -100,6 +104,15 @@ def random_stable_ss(rng, n_states, n_outputs=1, n_inputs=1, margin=0.3, proper=
     C = rng.normal(size=(n_outputs, n_states))
     D = rng.normal(size=(n_outputs, n_inputs)) if proper else np.zeros((n_outputs, n_inputs))
     return StateSpace(A, B, C, D)
+
+
+def duplicated(g):
+    """g realized twice over, on two identical copies of its states: twice
+    its transfer function, and Gramians of rank g.n_states."""
+    n = g.n_states
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, :n] = A[n:, n:] = g.A
+    return StateSpace(A, np.vstack([g.B, g.B]), np.hstack([g.C, g.C]), g.D)
 
 
 def random_spd(rng, k, scale=1.0, floor=0.3):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_spd
+from conftest import duplicated, random_spd
 from lqgpo import solvers
 from lqgpo.errors import DimensionError, SolverError
 from lqgpo.lqg import LqrProblem, close_loop, lqr_optimal, lqr_terms, performance_realization
-from lqgpo.solvers import care, lyap_ct, psd_sqrt, sylvester
+from lqgpo.solvers import care, lyap_ct, psd_factor, psd_sqrt, sylvester
 from lqgpo.ss import (
     StateSpace,
     gramian_ctrb,
@@ -156,13 +156,46 @@ def test_psd_sqrt():
     assert S2[1, 1] == 0.0
 
 
+class TestPsdFactor:
+    def test_full_rank(self):
+        M = random_spd(np.random.default_rng(5), 6)
+        L = psd_factor(M)
+        assert L.shape == (6, 6)
+        assert np.linalg.norm(L @ L.T - M, 2) <= 1e-14 * np.linalg.norm(M, 2)
+
+    def test_rows_in_the_matrix_order(self):
+        # pivoting visits 9, 4, 1; the factor's rows come back in M's order
+        L = psd_factor(np.diag([1.0, 4.0, 9.0]))
+        assert np.array_equal(np.abs(L), [[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [3.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("gramian", [gramian_ctrb, gramian_obsv])
+    def test_rank_deficient_gramian(self, gramian):
+        g = duplicated(StateSpace([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.5], [0.0, 0.3, -3.0]],
+                                  [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                  [[1.0, 0.0, 2.0]], [[0.0, 0.0]]))
+        M = gramian(g)
+        L = psd_factor(M)
+        assert L.shape == (6, 3)
+        assert np.linalg.norm(L @ L.T - M, 2) <= 1e-14 * np.linalg.norm(M, 2)
+
+    def test_zero_gramian(self):
+        g = StateSpace(-np.eye(3), np.zeros((3, 1)), np.ones((1, 3)), [[0.0]])
+        L = psd_factor(gramian_ctrb(g))
+        assert L.shape == (3, 0)
+        assert np.linalg.norm(L, 2) == 0.0
+
+    def test_empty(self):
+        assert psd_factor(np.zeros((0, 0))).shape == (0, 0)
+
+
 @pytest.mark.parametrize("call", ["close_loop", "lqr_terms", "h2_norm_sq", "minreal"])
 def test_one_schur_form_per_matrix(call, plant1, ctrl_opt, factorizations):
     # close_loop and lqr_terms take the stability check, P and Sigma from one
     # form of the loop matrix; h2_norm_sq its check and Gramian; balanced
-    # truncation of a stable system both Gramians.  The truncation's stability
-    # guard factors the reduced matrix once, and the reduced system keeps that
-    # form: its stability check, poles and H2 norm factor nothing more.
+    # truncation of a stable system both Gramians, each factored by one
+    # pivoted Cholesky call.  The truncation's stability guard factors the
+    # reduced matrix once, and the reduced system keeps that form: its
+    # stability check, poles and H2 norm factor nothing more.
     prob = LqrProblem(plant1.A, plant1.B, plant1.Q, plant1.R)
     K, _ = lqr_optimal(prob)
     g = performance_realization(close_loop(plant1, ctrl_opt))
@@ -178,11 +211,11 @@ def test_one_schur_form_per_matrix(call, plant1, ctrl_opt, factorizations):
         assert factorizations == {"schur": 1}
         return
     assert out.n_states and out is not g
-    assert factorizations == {"schur": 2}
+    assert factorizations == {"schur": 2, "pstrf": 2}
     assert out.is_stable()
     assert out.poles().real.max() < 0
     h2_norm_sq(out)
-    assert factorizations == {"schur": 2}
+    assert factorizations == {"schur": 2, "pstrf": 2}
 
 
 def test_quasi_triangular_is_its_own_form(factorizations):
@@ -423,13 +456,13 @@ def test_one_schur_form_per_system(factorizations):
     assert factorizations == {"schur": 1}
     red = minreal(g)
     assert red is not g
-    assert factorizations == {"schur": 2}
+    assert factorizations == {"schur": 2, "pstrf": 2}
     assert red.is_stable()
     assert red.poles().real.max() < 0
     gramian_ctrb(red)
     gramian_obsv(red)
     h2_norm_sq(red)
-    assert factorizations == {"schur": 2}
+    assert factorizations == {"schur": 2, "pstrf": 2}
 
 
 @pytest.mark.parametrize("call", [
@@ -459,15 +492,16 @@ def _names(tree):
 
 
 def test_only_solvers_names_matrix_equation_solvers():
-    """A second Lyapunov/Sylvester path, or a Schur factorization, must not
-    creep back outside solvers."""
+    """A second Lyapunov/Sylvester path, a Schur factorization, or a
+    factorization of a Gramian (pivoted Cholesky, eigendecomposition) must
+    not creep back outside solvers."""
     offenders = [
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         if path.name != "solvers.py"
         for name in _names(ast.parse(path.read_text()))
-        if name in ("solve_continuous_lyapunov", "solve_sylvester")
-        or name.endswith(("trsyl", "trsen", "gees", "schur"))
+        if name in ("solve_continuous_lyapunov", "solve_sylvester", "eigh")
+        or name.endswith(("trsyl", "trsen", "gees", "schur", "pstrf"))
     ]
     assert offenders == []
 

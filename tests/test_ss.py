@@ -5,20 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import freq_response_fast, random_stable_ss
-from _reference import para_conjugate, stable_projection
+from conftest import duplicated, freq_response_fast, load_perfbench, random_stable_ss
+from _reference import certificate_system, para_conjugate, psd_factor_eigh, stable_projection
 from lqgpo.benchmarks import example1_plant, example2_controller
 from lqgpo.errors import AxisPoleError, DimensionError, UnstableError
 from lqgpo.lqg import DynController, LqgPlant, LqrProblem
+from lqgpo.solvers import psd_factor
 from lqgpo.ss import (
     HINF_TOL,
     RationalScalar,
     StateSpace,
+    _balanced_truncation_stable,
     freq_response,
+    gramian_ctrb,
+    gramian_obsv,
     h2_inner,
     h2_norm_sq,
     hinf_norm_est,
     minreal,
+    minreal_h2,
     parallel,
     rational_to_ss,
     scaled,
@@ -30,7 +35,7 @@ from lqgpo.ss import (
     zero_system,
     _peak_gain,
 )
-from lqgpo.youla import YoulaIterate, build_nominal, estimate_smoothness
+from lqgpo.youla import TRUNC_TOL, YoulaIterate, build_nominal, estimate_smoothness
 
 
 def lag(pole=1.0, gain=1.0):
@@ -393,6 +398,81 @@ class TestMinreal:
             assert hinf_norm_est(diff) <= 10 * tol * hsv_max
 
 
+def hankel_values(g, factor=psd_factor):
+    """The Hankel singular values of a stable g from factors of its Gramians."""
+    Lc, Lo = factor(gramian_ctrb(g)), factor(gramian_obsv(g))
+    return np.linalg.svd(Lo.T @ Lc, compute_uv=False)
+
+
+def eigh_factor(M):
+    return psd_factor_eigh(M)[0]
+
+
+def zero_iterate_sensitivity(name):
+    """S at the zero iterate, unreduced, of example 2's nominal or of the
+    benchmark's random n = 8 nominal (its seed-101 round)."""
+    if name == "example2":
+        nom = build_nominal(example1_plant(), example2_controller())
+    else:
+        plant, ctrl = load_perfbench("workloads").random_lqg_instance(
+            np.random.default_rng(101), 8)
+        nom = build_nominal(plant, ctrl)
+    return certificate_system(nom)
+
+
+class TestBalancedTruncation:
+    def test_first_order_lag(self):
+        # 1/(s+1): P = X = 1/2, one Hankel value 1/2, ||G||_H2^2 = 1/2
+        assert hankel_values(lag()) == pytest.approx([0.5], rel=1e-15)
+        red, h2 = minreal_h2(lag())
+        assert red.n_states == 1
+        assert h2 == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["example2", "random8"])
+    def test_kept_hankel_values_match_the_eigh_factor(self, name):
+        S = zero_iterate_sensitivity(name)
+        ref = hankel_values(S, eigh_factor)
+        top = ref >= 1e-6 * ref[0]
+        np.testing.assert_allclose(hankel_values(S)[top], ref[top], rtol=1e-8)
+        # the reduced realization carries the kept values as its own
+        kept = hankel_values(minreal(S, TRUNC_TOL), eigh_factor)
+        np.testing.assert_allclose(kept[: top.sum()], ref[top], rtol=1e-8)
+
+    @pytest.mark.parametrize("name", ["example2", "random8"])
+    def test_h2_norm_read_off_the_truncation(self, name):
+        S = zero_iterate_sensitivity(name)
+        red, h2 = minreal_h2(S, TRUNC_TOL)
+        assert red is not S  # the balanced realization, not the guard's S
+        assert h2 == pytest.approx(h2_norm_sq(red), rel=1e-9)
+        assert h2 == pytest.approx(h2_norm_sq(S), rel=1e-9)
+
+    def test_h2_norm_of_a_kept_system(self, monkeypatch):
+        # a reduced realization that is not stable is discarded: g itself
+        # comes back, with ||Lo^T B||_F^2
+        g = random_stable_ss(np.random.default_rng(11), 4, 2, 2)
+        expected = h2_norm_sq(g)
+        monkeypatch.setattr(StateSpace, "is_stable", lambda self: False)
+        red, h2 = _balanced_truncation_stable(g, 1e-8)
+        assert red is g
+        assert h2 == pytest.approx(expected, rel=1e-12)
+
+    def test_h2_norm_of_a_cancelled_system(self):
+        red, h2 = minreal_h2(parallel(lag(), lag(), -1))
+        assert red.n_states == 0 and h2 == 0.0
+
+    def test_duplicated_states_reduce_to_the_original(self):
+        g = random_stable_ss(np.random.default_rng(13), 3, 2, 2)
+        red = minreal(duplicated(g))
+        assert red.n_states == g.n_states
+        np.testing.assert_allclose(hankel_values(red), 2 * hankel_values(g), rtol=1e-10)
+
+    def test_minreal_h2_refuses_what_h2_norm_sq_refuses(self):
+        with pytest.raises(UnstableError):
+            minreal_h2(StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
+        with pytest.raises(ValueError):
+            minreal_h2(lag().with_feedthrough([[1.0]]))
+
+
 def refined_peak(g):
     """Largest gain found by a dense log sweep, refined around its best point."""
     grid = np.concatenate([[0.0], np.logspace(-3, 3, 4001)])
@@ -402,6 +482,19 @@ def refined_peak(g):
     res = minimize_scalar(lambda w: -np.linalg.norm(freq_response(g, w), 2),
                           bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     return max(gains[k], -res.fun, np.linalg.norm(g.D, 2))
+
+
+def proper_draw(index):
+    """The index-th of 200 random stable proper systems from default_rng(0):
+    n in [2, 5], 1-2 inputs and outputs, A ~ N(0,1) shifted to a stability
+    margin of 0.5, and B, C, D ~ N(0,1)."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        n, m, p = (int(rng.integers(lo, hi)) for lo, hi in ((2, 6), (1, 3), (1, 3)))
+        A = rng.normal(size=(n, n))
+        A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+        B, C, D = rng.normal(size=(n, m)), rng.normal(size=(p, n)), rng.normal(size=(p, m))
+    return StateSpace(A, B, C, D)
 
 
 class TestHinfNorm:
@@ -430,6 +523,21 @@ class TestHinfNorm:
         # the Hankel bound of this system is 2
         g = rational_to_ss(RationalScalar([1.0, 1.5], [1.0, 1.0]))
         assert 1.5 <= hinf_norm_est(g) <= 2.0
+
+    def test_gain_rising_to_the_feedthrough(self):
+        # s/(s+1): the gain rises to its supremum sigma_max(D) = 1 as w -> inf
+        g = rational_to_ss(RationalScalar([0.0, 1.0], [1.0, 1.0]))
+        assert 1.0 <= hinf_norm_est(g) <= 1.0 + 2 * HINF_TOL
+
+    @pytest.mark.parametrize("index", [12, 33, 59, 103, 144, 186])
+    def test_gain_near_the_feedthrough_at_high_frequency(self, index):
+        # random proper systems on which G's own axis test stops deciding
+        # as gamma nears sigma_max(D): a peak a few per cent above
+        # sigma_max(D) at w = 2..6 (12, 103, 186), or the supremum
+        # sigma_max(D) itself, approached as w -> inf (33, 59, 144)
+        g = proper_draw(index)
+        peak = refined_peak(g)
+        assert peak <= hinf_norm_est(g) <= (1 + 2 * HINF_TOL) * peak * (1 + 1e-12)
 
     def test_static_gain(self):
         D = np.array([[1.0, 2.0], [3.0, 4.0]])

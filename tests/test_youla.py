@@ -16,8 +16,10 @@ from lqgpo.solvers import psd_sqrt
 from lqgpo.ss import (
     StateSpace,
     freq_response,
+    gramian_obsv,
     h2_norm_sq,
     minreal,
+    minreal_h2,
     parallel,
     scaled,
     zero_system,
@@ -296,16 +298,20 @@ class TestDescentRun:
 
         reduced = []
 
-        def counting(g, *args, **kwargs):
-            reduced.append(g.n_states)
-            return minreal(g, *args, **kwargs)
+        def counting(truncate):
+            def counted(g, *args, **kwargs):
+                reduced.append(g.n_states)
+                return truncate(g, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(youla, "minreal", counting)
+        monkeypatch.setattr(youla, "minreal", counting(minreal))
+        monkeypatch.setattr(youla, "minreal_h2", counting(minreal_h2))
         nom = build_nominal(plant1, ctrl_stationary)
         assert reduced == []
         iters = 5
-        # per iteration: S_k's truncation, and Q_dyn's except after the last
-        # gradient; nothing per nominal, on a fresh nominal as on a warm one
+        # per iteration: S_k's truncation (minreal_h2), and Q_dyn's (minreal)
+        # except after the last gradient; nothing per nominal, on a fresh
+        # nominal as on a warm one
         first, _ = run_lifted_gradient_descent(nom, eta=0.1, iters=iters)
         assert len(reduced) == 2 * iters + 1
         reduced.clear()
@@ -313,6 +319,57 @@ class TestDescentRun:
         assert len(reduced) == 2 * iters + 1
         assert [r.cost for r in again] == [r.cost for r in first]
         assert [r.q_dyn_order for r in again] == [r.q_dyn_order for r in first]
+
+
+    @pytest.mark.parametrize("which", ["ex2", "stationary", "random8"])
+    def test_gradient_norm_matches_a_solved_h2_norm(self, which, request):
+        # ||S_k||_H2^2 as the truncation reads it off (its Hankel values on
+        # the balanced realization) against a solved observability Gramian
+        import lqgpo.youla as youla
+
+        nom = request.getfixturevalue(f"nom_{which}")
+        records, _ = run_lifted_gradient_descent(nom, iters=3)
+        for k, rec in enumerate(records):
+            it = run_lifted_gradient_descent(nom, iters=k)[1]
+            S, rmask = frechet_gradient(nom, it)
+            assert youla._cost_and_sensitivity(nom, it)[2] == pytest.approx(h2_norm_sq(S),
+                                                                            rel=1e-9)
+            assert rec.grad_norm_u == pytest.approx(norm_u((S, rmask)), rel=1e-9)
+
+    def test_observability_gramians_per_descent(self, nom_stationary, monkeypatch):
+        import lqgpo.ss as ss_module
+        import lqgpo.youla as youla
+
+        solved = []
+
+        def counting(g):
+            solved.append(g.n_states)
+            return gramian_obsv(g)
+
+        monkeypatch.setattr(ss_module, "gramian_obsv", counting)
+        monkeypatch.setattr(youla, "gramian_obsv", counting)
+        iters = 5
+        run_lifted_gradient_descent(nom_stationary, eta=0.1, iters=iters)
+        # per iterate, the cost map's and S_k's truncation's; per update,
+        # Q_dyn's truncation's.  The gradient norm reads ||S_k||_H2^2 off
+        # S_k's truncation: solving for it took iters + 1 more.
+        assert len(solved) == 2 * (iters + 1) + iters
+
+    def test_no_eigendecomposition_in_a_descent(self, nom_random8, monkeypatch,
+                                                factorizations):
+        calls = []
+
+        def counting(*args, _orig=np.linalg.eigh, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        factorizations.clear()
+        iters = 3
+        run_lifted_gradient_descent(nom_random8, iters=iters)
+        assert calls == []
+        # each of the 2 iters + 1 truncations factors its two Gramians
+        assert factorizations["pstrf"] == 2 * (2 * iters + 1)
 
 
 class TestSchurCoordinates:
