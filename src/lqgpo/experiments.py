@@ -17,9 +17,9 @@ import numpy as np
 
 from . import benchmarks
 from .lqg import LqgPlant, close_loop, lqg_cost, lqg_optimal, policy_gradient_run
-from .ss import StateSpace, h2_norm_sq, parallel, rational_to_ss, ss_entry_to_rational
-from .sysid import (LaguerreBasis, ZoConfig, _entry_subsystem, default_grid, identify_m22,
-                    laguerre_project, reduce_order, zo_residue_estimate)
+from .ss import StateSpace, entry, h2_norm_sq, parallel, rational_to_ss, ss_entry_to_rational
+from .sysid import (LaguerreBasis, ZoConfig, default_grid, identify_m22, laguerre_project,
+                    reduce_order, zo_residue_estimate)
 from .youla import (NominalLft, YoulaIterate, build_nominal, frechet_gradient,
                     run_lifted_gradient_descent, sensitivity)
 
@@ -153,7 +153,7 @@ def laguerre_errors(nom: NominalLft, order: int) -> LaguerreErrors:
     expansion, reduced = {}, {}
     for i in range(S0.n_outputs):
         for j in range(S0.n_inputs):
-            sub = _entry_subsystem(S0, i, j)
+            sub = entry(S0, i, j)
             nrm_sq = h2_norm_sq(sub)
             if nrm_sq < 1e-18:
                 continue

@@ -9,8 +9,9 @@ W, V and quadratic weights Q, R.  The controller is the triple
 (A_K, B_K, C_K):  dxh = A_K xh + B_K y,  u = C_K xh,  packed as the
 structured matrix [[0, C_K], [B_K, A_K]] (rows u | xh, columns y | xh)
 whose top-left block is structurally zero.  The certificate's first Markov
-parameter and the LQG gradient share the layout, stated once by `unpack` and
-`mask_block`; a controller grows states by appending them to its packed matrix.
+parameter and the LQG gradient share the layout, stated once by `unpack`,
+`mask_block` and `free_entries` (the entries a descent moves); a controller
+grows states by appending them to its packed matrix.
 
 For the LQR case the gain enters the loop negatively (u = -K x, closed
 loop A - B K), so the unique stationary gain is the Riccati gain
@@ -130,6 +131,12 @@ def mask_block(M: np.ndarray, rows: int, cols: int) -> np.ndarray:
     out = np.array(M, dtype=float, copy=True)
     out[:rows, :cols] = 0.0
     return out
+
+
+def free_entries(shape, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries outside the top-left rows x cols
+    block, in row-major order."""
+    return np.nonzero(mask_block(np.ones(shape), rows, cols))
 
 
 @dataclass(frozen=True)

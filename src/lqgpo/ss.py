@@ -143,6 +143,11 @@ def zero_system(n_outputs: int, n_inputs: int) -> StateSpace:
     return static_gain(np.zeros((n_outputs, n_inputs)))
 
 
+def entry(g: StateSpace, i: int, j: int) -> StateSpace:
+    """The SISO system of entry (i, j): (A, B[:, j], C[i, :], D[i, j])."""
+    return StateSpace(g.A, g.B[:, j : j + 1], g.C[i : i + 1, :], g.D[i : i + 1, j : j + 1])
+
+
 def static_gain(D) -> StateSpace:
     """A constant transfer matrix G(s) = D."""
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -475,8 +480,7 @@ class RationalScalar:
         den = den / lead
         num.setflags(write=False)
         den.setflags(write=False)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        set_fields(self, num=num, den=den)
 
     @property
     def num_degree(self) -> int:
@@ -502,8 +506,7 @@ def ss_entry_to_rational(g: StateSpace, i: int, j: int) -> RationalScalar | None
     interpolation at pole-free real points.
     Returns None for a structurally zero entry.
     """
-    entry = StateSpace(g.A, g.B[:, j : j + 1], g.C[i : i + 1, :], g.D[i : i + 1, j : j + 1])
-    sub = minreal(entry, ENTRY_TOL)
+    sub = minreal(entry(g, i, j), ENTRY_TOL)
     n = sub.n_states
     if n == 0:
         if abs(sub.D[0, 0]) == 0.0:

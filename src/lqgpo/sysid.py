@@ -23,7 +23,7 @@ from numpy.linalg import matrix_power
 
 from . import solvers
 from .errors import IdentifiabilityError
-from .lqg import mask_block
+from .lqg import free_entries
 from .ss import RationalScalar, StateSpace, _check_h2, freq_response, parallel, scaled
 from .youla import NominalLft, YoulaIterate, lifted_cost
 
@@ -262,10 +262,6 @@ class LaguerreBasis:
         )
 
 
-def _entry_subsystem(g: StateSpace, i: int, j: int) -> StateSpace:
-    return StateSpace(g.A, g.B[:, j : j + 1], g.C[i : i + 1, :], np.zeros((1, 1)))
-
-
 def laguerre_project(s_true: StateSpace, basis: LaguerreBasis) -> np.ndarray:
     """Per-entry expansion coefficients <S_ij, phi_k> of a stable strictly
     proper system; shape (outputs, inputs, order+1).
@@ -375,12 +371,6 @@ class ZoConfig:
             raise ValueError("samples must be positive")
 
 
-def _masked_positions(shape, mask_rows, mask_cols):
-    """Row and column indices of the entries outside the top-left mask
-    block, in row-major order."""
-    return np.nonzero(mask_block(np.ones(shape), mask_rows, mask_cols))
-
-
 def zo_gradient_estimate(cost_fn, shape, mask_rows, mask_cols, cfg: ZoConfig) -> np.ndarray:
     """Two-point sphere-sampling gradient estimate over the masked subspace.
 
@@ -389,7 +379,7 @@ def zo_gradient_estimate(cost_fn, shape, mask_rows, mask_cols, cfg: ZoConfig) ->
     sample draws from an independent substream of the master seed and the
     sum is accumulated in sample order, so the result is reproducible.
     """
-    positions = _masked_positions(shape, mask_rows, mask_cols)
+    positions = free_entries(shape, mask_rows, mask_cols)
     d = positions[0].size
     acc = np.zeros(shape)
     factor = d / (2.0 * cfg.radius**2)
@@ -418,7 +408,7 @@ def zo_residue_estimate(nom: NominalLft, it: YoulaIterate, cfg: ZoConfig) -> np.
     """
     it.validate(nom)
     shape = (nom.q_rows, nom.q_cols)
-    positions = _masked_positions(shape, nom.mask_rows, nom.mask_cols)
+    positions = free_entries(shape, nom.mask_rows, nom.mask_cols)
     if not positions[0].size:
         return np.zeros(shape)
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UnstableError
-from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, lqg_cost, mask_block,
-                  perturbation_channels)
+from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, free_entries, lqg_cost,
+                  mask_block, perturbation_channels)
 from .solvers import SchurForm, psd_sqrt, solve
 from .ss import (
     StateSpace,
@@ -289,28 +289,26 @@ def estimate_smoothness(nom: NominalLft) -> float:
 
 
 def static_quadratic_form(nom: NominalLft) -> np.ndarray:
-    """Gram matrix of U -> ||M12 U M21||_H2^2 over static masked directions.
+    """Gram matrix of U -> ||M12 U M21||_H2^2 over the free static entries
+    (`lqg.free_entries`, in their order), used for the tight smoothness
+    bound of the static part.
 
-    Entry ((a,b),(c,d)) is the H2 inner product of M12 e_ab M21 with
-    M12 e_cd M21; used for the tight smoothness bound of the static part.
+    Entry (k, l) is the H2 inner product of M12 E_k M21 with M12 E_l M21,
+    E_k the unit matrix of the k-th free entry.  Off the mask block
+    D12 E_k D21 is a product of exact zeros, so each direction is strictly
+    proper as built, and its state matrix [[T, *], [0, T]] is its own Schur
+    form.
     """
-    rows, cols = nom.q_rows, nom.q_cols
+    shape = (nom.q_rows, nom.q_cols)
     systems = []
-    for a in range(rows):
-        for b in range(cols):
-            E = np.zeros((rows, cols))
-            E[a, b] = 1.0
-            sys_ab = minreal(
-                series(nom.M12, series(static_gain(E), nom.M21)), 1e-12
-            )
-            sys_ab = sys_ab.with_feedthrough(np.zeros((sys_ab.n_outputs, sys_ab.n_inputs)))
-            systems.append(sys_ab)
-    dim = rows * cols
-    G = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            if systems[i].n_states and systems[j].n_states:
-                G[i, j] = G[j, i] = h2_inner(systems[i], systems[j])
+    for pos in zip(*free_entries(shape, nom.mask_rows, nom.mask_cols)):
+        E = np.zeros(shape)
+        E[pos] = 1.0
+        systems.append(series(nom.M12, series(static_gain(E), nom.M21)))
+    G = np.zeros((len(systems), len(systems)))
+    for i, gi in enumerate(systems):
+        for j in range(i, len(systems)):
+            G[i, j] = G[j, i] = h2_inner(gi, systems[j])
     return G
 
 
@@ -318,7 +316,7 @@ def estimate_smoothness_tight(nom: NominalLft) -> float:
     """Smoothness estimate that also covers static directions, for use when
     the peak-gain bound proves too small on a descent-lemma check."""
     G = static_quadratic_form(nom)
-    lam = float(np.linalg.eigvalsh(0.5 * (G + G.T)).max()) if G.size else 0.0
+    lam = float(np.linalg.eigvalsh(G).max()) if G.size else 0.0
     return max(estimate_smoothness(nom), 4.0 * lam)
 
 

@@ -14,9 +14,11 @@ unreduced controller that `youla.assemble_controller` built from hand-sliced
 blocks of DeltaK, and the Riccati controller that `lqg_optimal` padded block
 by block, where both now append states to the packed matrix; and the
 eigendecomposition factor of a Gramian that balanced truncation used, where
-`solvers.psd_factor` now runs a pivoted Cholesky factorization.  The
-para-conjugate and the stable projection, which only these references
-build on, live here too.
+`solvers.psd_factor` now runs a pivoted Cholesky factorization; and the
+static Gram matrix of the lifted cost by differences of the gradient
+carrier, where `youla.static_quadratic_form` builds it from the
+realizations.  The para-conjugate and the stable projection, which only
+these references build on, live here too.
 
 The optimal-controller matrices are two-decimal reference values; note the
 sign of the second output-gain entry is -0.22, the only sign consistent
@@ -30,10 +32,10 @@ import numpy as np
 from lqgpo import solvers
 from lqgpo.errors import SolverError, UnstableError
 from lqgpo.lqg import (LQR_GAP_TOL, LQR_MAX_HALVINGS, LQR_STEP, build_certificate_matrices,
-                       lqr_terms)
+                       free_entries, lqr_terms)
 from lqgpo.ss import (StateSpace, h2_norm_sq, minreal, parallel, series,
                       stable_antistable_split)
-from lqgpo.youla import TRUNC_TOL
+from lqgpo.youla import TRUNC_TOL, YoulaIterate, frechet_gradient
 
 # Optimal controller for the two-state benchmark plant (two decimals).
 A_K_STAR = np.array([[-1.1, 0.13], [1.19, -1.64]])
@@ -223,6 +225,23 @@ def sensitivity_projection_dense(nom, it):
     T = T.with_feedthrough(np.zeros((T.n_outputs, T.n_inputs)))
     S = stable_projection(series(para_conjugate(nom.M12), series(T, para_conjugate(nom.M21))))
     return minreal(S, TRUNC_TOL)
+
+
+def static_gram_differences(nom):
+    """The Gram matrix of `youla.static_quadratic_form` from d + 1 gradient
+    evaluations: the carrier's static part is affine in Q_stat with that
+    matrix as its slope, so column l is the static part of `frechet_gradient`
+    at Q_stat = E_l minus the one at zero, read on the free entries."""
+    shape = (nom.q_rows, nom.q_cols)
+    free = free_entries(shape, nom.mask_rows, nom.mask_cols)
+    zero = YoulaIterate.zero(nom)
+    base = frechet_gradient(nom, zero)[1]
+    G = np.zeros((free[0].size, free[0].size))
+    for l, pos in enumerate(zip(*free)):
+        E = np.zeros(shape)
+        E[pos] = 1.0
+        G[:, l] = (frechet_gradient(nom, YoulaIterate(zero.Q_dyn, E))[1] - base)[free]
+    return G
 
 
 def psd_factor_eigh(M):

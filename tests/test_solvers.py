@@ -531,15 +531,18 @@ def test_no_module_subscripts_a_dict():
 
 def test_only_lqg_defines_the_packed_layout():
     """The packed controller layout and its structural zero are stated once,
-    in lqg: no other module defines mask_block or unpack, and the modules
-    that zero the structural block use lqg's mask_block itself."""
+    in lqg: no other module defines mask_block, free_entries or unpack, the
+    modules that zero the structural block use lqg's mask_block itself, and
+    those that move the free entries use lqg's free_entries."""
     from lqgpo import certificate, lqg, sysid, youla
 
+    names = ("mask_block", "free_entries", "unpack")
     defined = {
         (path.name, node.name)
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name in ("mask_block", "unpack")
+        if isinstance(node, ast.FunctionDef) and node.name in names
     }
-    assert defined == {("lqg.py", "mask_block"), ("lqg.py", "unpack")}
-    assert certificate.mask_block is youla.mask_block is sysid.mask_block is lqg.mask_block
+    assert defined == {("lqg.py", name) for name in names}
+    assert certificate.mask_block is youla.mask_block is lqg.mask_block
+    assert sysid.free_entries is youla.free_entries is lqg.free_entries

@@ -569,6 +569,7 @@ class TestRational:
         r = RationalScalar([2.0], [2.0, 4.0])
         assert r.den[-1] == 1.0
         assert r.num[0] == pytest.approx(0.5)
+        assert not (r.num.flags.writeable or r.den.flags.writeable)
 
     def test_lag_realization(self):
         g = rational_to_ss(RationalScalar([1.0], [1.0, 1.0]))

@@ -11,6 +11,7 @@ from lqgpo.errors import IdentifiabilityError, UnstableError
 from lqgpo.ss import (
     RationalScalar,
     StateSpace,
+    entry,
     freq_response,
     h2_inner,
     h2_norm_sq,
@@ -31,7 +32,6 @@ from lqgpo.sysid import (
     sine_response,
     zo_gradient_estimate,
     zo_residue_estimate,
-    _entry_subsystem,
     _rk4_step_ops,
 )
 from lqgpo.youla import (
@@ -194,8 +194,7 @@ class TestFitRational:
 
     def test_cubic_entry_accuracy(self, nom_ex2):
         grid = np.linspace(0.1, 100, 200)
-        entry = _entry_subsystem(nom_ex2.M22, 0, 0)
-        fit = fit_rational(*direct_samples(entry, grid), 2, 3)
+        fit = fit_rational(*direct_samples(entry(nom_ex2.M22, 0, 0), grid), 2, 3)
         truth_num = np.array([1.0 / 12.0, 17.0 / 24.0, 13.0 / 12.0])
         truth_den = np.array([5.0 / 12.0, 7.0 / 3.0, 2.0, 1.0])
         assert np.abs(fit.num - truth_num).max() / np.abs(truth_num).max() <= 1e-3
@@ -330,7 +329,7 @@ class TestLaguerre:
         basis = LaguerreBasis(1.0, 15)
         coeffs = laguerre_project(s0_ex2, basis)
         for i, j, k in [(0, 0, 0), (0, 2, 7), (2, 2, 15), (1, 1, 3)]:
-            want = h2_inner(_entry_subsystem(s0_ex2, i, j), basis.function(k))
+            want = h2_inner(entry(s0_ex2, i, j), basis.function(k))
             assert abs(coeffs[i, j, k] - want) <= 1e-13 * np.abs(coeffs).max()
 
     def test_projection_rejects_unstable_system(self):
@@ -345,7 +344,7 @@ class TestLaguerre:
     def test_projection_error_non_increasing(self, s0_ex2):
         basis = LaguerreBasis(1.0, 15)
         coeffs = laguerre_project(s0_ex2, basis)
-        sub = _entry_subsystem(s0_ex2, 0, 0)
+        sub = entry(s0_ex2, 0, 0)
         nrm = np.sqrt(h2_norm_sq(sub))
         errors = []
         for order in range(16):
@@ -361,7 +360,7 @@ class TestLaguerre:
         # against the H2 norm of the realized difference
         lag = laguerre_errors(nom_ex2, 15)
         for (i, j), errors in lag.expansion.items():
-            sub = _entry_subsystem(s0_ex2, i, j)
+            sub = entry(s0_ex2, i, j)
             nrm = np.sqrt(h2_norm_sq(sub))
             for k, err in enumerate(errors):
                 approx = laguerre_reconstruct(lag.coeffs[i, j, : k + 1].reshape(1, 1, -1),
@@ -372,7 +371,7 @@ class TestLaguerre:
     def test_projection_beats_perturbed_coefficients(self, s0_ex2, rng):
         basis = LaguerreBasis(1.0, 8)
         coeffs = laguerre_project(s0_ex2, basis)
-        sub = _entry_subsystem(s0_ex2, 0, 0)
+        sub = entry(s0_ex2, 0, 0)
         best = laguerre_reconstruct(coeffs[0, 0].reshape(1, 1, -1), basis)
         err_best = h2_norm_sq(minreal(parallel(sub, best, -1)))
         for _ in range(5):
@@ -428,7 +427,7 @@ class TestReduceOrder:
     def test_benchmark_entry_within_tolerance(self, s0_ex2):
         basis = LaguerreBasis(1.0, 15)
         coeffs = laguerre_project(s0_ex2, basis)
-        sub = _entry_subsystem(s0_ex2, 0, 0)
+        sub = entry(s0_ex2, 0, 0)
         nrm = np.sqrt(h2_norm_sq(sub))
         fit = reduce_order(coeffs[0, 0], basis, 2, 3, default_grid())
         err = np.sqrt(
@@ -438,7 +437,7 @@ class TestReduceOrder:
 
     def test_tracks_expansion_error_at_high_order(self, s0_ex2):
         coeffs_full = laguerre_project(s0_ex2, LaguerreBasis(1.0, 15))
-        sub = _entry_subsystem(s0_ex2, 0, 0)
+        sub = entry(s0_ex2, 0, 0)
         nrm = np.sqrt(h2_norm_sq(sub))
         for order in range(10, 16):
             bb = LaguerreBasis(1.0, order)

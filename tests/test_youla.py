@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import (MASTER_SEED, freq_response_fast, random_plant, random_spd,
+from conftest import (MASTER_SEED, freq_response_fast, load_perfbench, random_plant, random_spd,
                       random_stabilizing_controller, random_stable_ss, record_schur_forms,
                       same_bits)
 from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, assembled_controller_blocks,
                         certificate_system, lifted_cost_dense, sensitivity_dense,
-                        sensitivity_projection_dense)
+                        sensitivity_projection_dense, static_gram_differences)
+from lqgpo import solvers, youla
 from lqgpo.certificate import Verdict, build_certificate_matrices, certify
 from lqgpo.lqg import (DynController, LqgPlant, close_loop, lqg_cost, lqg_optimal,
                        perturbation_channels)
@@ -43,6 +44,7 @@ from lqgpo.youla import (
     reconstruct_controller_delta,
     run_lifted_gradient_descent,
     sensitivity,
+    static_quadratic_form,
 )
 
 
@@ -619,6 +621,55 @@ class TestSmoothness:
 
     def test_tight_estimate_dominates(self, nom_ex2):
         assert estimate_smoothness_tight(nom_ex2) >= estimate_smoothness(nom_ex2)
+
+    @pytest.mark.parametrize("name, tol", [("example2", 1e-12), ("random4", 1e-8)])
+    def test_static_gram_matches_difference_reference(self, nom_ex2, name, tol):
+        # the reference reads the residue of the truncated S, hence the
+        # looser bound off the benchmark (measured 1.5e-14 and 1.2e-10)
+        if name == "example2":
+            nom = nom_ex2
+        else:
+            plant, ctrl = load_perfbench("workloads").random_lqg_instance(
+                np.random.default_rng(105), 4)
+            nom = build_nominal(plant, ctrl)
+        G, ref = static_quadratic_form(nom), static_gram_differences(nom)
+        d = nom.q_rows * nom.q_cols - nom.mask_rows * nom.mask_cols
+        assert G.shape == ref.shape == (d, d)
+        assert np.abs(G - ref).max() <= tol * np.abs(ref).max()
+
+    def test_example2_gram_over_the_free_entries(self, nom_ex2):
+        # 8 free entries of the 3 x 3 parameter; the masked one is left out
+        G = static_quadratic_form(nom_ex2)
+        assert G.shape == (8, 8)
+        assert np.linalg.eigvalsh(G).max() == pytest.approx(3.47014, rel=1e-5)
+
+    def test_stationary_saddle_is_flat_along_static_directions(self, nom_stationary):
+        G = static_quadratic_form(nom_stationary)
+        assert G.shape == (8, 8) and not np.any(G)
+
+    def test_order_zero_controller_has_no_free_static_entry(self, plant1):
+        ctrl = DynController(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
+        nom = build_nominal(plant1, ctrl)
+        assert static_quadratic_form(nom).shape == (0, 0)
+        assert estimate_smoothness_tight(nom) == estimate_smoothness(nom)
+
+    def test_one_solve_per_pair_and_no_factorization(self, nom_ex2, factorizations,
+                                                     monkeypatch):
+        # each direction's state matrix is its own Schur form, and nothing is
+        # truncated: one Sylvester solve per pair of directions
+        calls = {"minreal": 0, "solve": 0}
+
+        def counting(name, orig):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(youla, "minreal", counting("minreal", youla.minreal))
+        monkeypatch.setattr(solvers, "solve", counting("solve", solvers.solve))
+        static_quadratic_form(nom_ex2)
+        assert calls == {"minreal": 0, "solve": 8 * 9 // 2}
+        assert factorizations.get("schur", 0) == 0
 
 
 class TestSublinearEnvelope:
