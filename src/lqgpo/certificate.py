@@ -3,12 +3,13 @@
 A stabilizing controller is globally optimal iff the certificate transfer
 function Cterm (sI - Acl)^-1 Bterm vanishes identically; by Cayley-Hamilton
 this reduces to its first n+q Markov parameters being zero.  Its blocks
-(`lqg.build_certificate_matrices`) are the one source of both verdicts: the
-first Markov parameter, with its structural-zero block dropped, is half the
-cost gradient (the stationarity test), and one overflow-free pass over the
-Markov sequence is the optimality test.  The module also reports the
-auxiliary rank and definiteness diagnostics that give sufficient conditions
-of the same flavor.
+(`lqg.build_certificate_matrices`, products of the closed loop's channels
+that make it the lifted sensitivity at the zero iterate) are the one source
+of both verdicts: the first Markov parameter, with its structural-zero block
+dropped, is half the cost gradient (the stationarity test), and one
+overflow-free pass over the Markov sequence is the optimality test.  The
+module also reports the auxiliary rank and definiteness diagnostics that
+give sufficient conditions of the same flavor.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def certify(
         raise ValueError(f"tolerances must be finite and >= 0, got {tol_markov}, {tol_grad}")
     cl = close_loop(plant, ctrl)
     cost = lqg_cost(cl)
-    cm = build_certificate_matrices(plant, ctrl, cl)
+    cm = build_certificate_matrices(cl)
     # without its structural zero, half the gradient
     first = mask_block(cm.Cterm @ cm.Bterm, plant.n_inputs, plant.n_outputs)
     grad_norm = 2.0 * float(np.linalg.norm(first, "fro"))

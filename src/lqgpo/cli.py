@@ -47,8 +47,8 @@ def _load_plant(path) -> LqgPlant:
     return LqgPlant.from_dict(_load_json(path))
 
 
-def _load_controller(path) -> DynController:
-    return DynController.from_dict(_load_json(path))
+def _load_controller(path, plant: LqgPlant) -> DynController:
+    return DynController.from_dict(_load_json(path), plant)
 
 
 def _dumps(payload, **kwargs) -> str:
@@ -200,7 +200,7 @@ def cmd_solve_lqg(plant_path, order, ctrl_path, summary_path):
 def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
     """Run the global-optimality certificate on a controller."""
     plant = _load_plant(plant_path)
-    ctrl = _load_controller(ctrl_path)
+    ctrl = _load_controller(ctrl_path, plant)
     payload = certify(plant, ctrl, tol_markov, tol_grad).to_dict()
     if out_path:
         _write_json(out_path, payload)
@@ -221,7 +221,7 @@ def cmd_certify(plant_path, ctrl_path, tol_markov, tol_grad, out_path):
 def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
     """Lifted-space gradient descent from an initial stabilizing controller."""
     plant = _load_plant(plant_path)
-    ctrl0 = _load_controller(ctrl_path)
+    ctrl0 = _load_controller(ctrl_path, plant)
     jstar = optimal_cost(plant)
     nom = build_nominal(plant, ctrl0)
     records, final_it = run_lifted_gradient_descent(nom, eta=eta, iters=iters)
@@ -257,7 +257,7 @@ def cmd_optimize(plant_path, ctrl_path, eta, iters, out_path, save_path):
 def cmd_pg(plant_path, ctrl_path, step, iters, out_path):
     """Vanilla policy gradient baseline on the controller parameters."""
     plant = _load_plant(plant_path)
-    ctrl0 = _load_controller(ctrl_path)
+    ctrl0 = _load_controller(ctrl_path, plant)
     jstar = optimal_cost(plant)
     records = policy_gradient_run(plant, ctrl0, step, iters)
     rows = [[rec.iteration, rec.cost, (rec.cost - jstar) / jstar] for rec in records]
@@ -284,7 +284,7 @@ def cmd_identify(plant_path, ctrl_path, mode, num_deg, den_deg, auto_degrees,
                  grid_lo, grid_hi, grid_n, grid_spacing, out_path):
     """Fit each entry of the perturbation interconnection transfer matrix."""
     plant = _load_plant(plant_path)
-    ctrl0 = _load_controller(ctrl_path)
+    ctrl0 = _load_controller(ctrl_path, plant)
     nom = build_nominal(plant, ctrl0)
     grid = default_grid(grid_n, grid_lo, grid_hi, grid_spacing)
     if auto_degrees:
@@ -316,7 +316,7 @@ def cmd_identify(plant_path, ctrl_path, mode, num_deg, den_deg, auto_degrees,
 def cmd_estimate_s(plant_path, ctrl_path, laguerre_order, pole, method, num_deg, den_deg, out_path):
     """Estimate the sensitivity system at the zero iterate via a Laguerre expansion."""
     plant = _load_plant(plant_path)
-    ctrl0 = _load_controller(ctrl_path)
+    ctrl0 = _load_controller(ctrl_path, plant)
     nom = build_nominal(plant, ctrl0)
     basis = LaguerreBasis(pole, laguerre_order)
     it0 = YoulaIterate.zero(nom)
@@ -353,7 +353,7 @@ def cmd_estimate_s(plant_path, ctrl_path, laguerre_order, pole, method, num_deg,
 def cmd_estimate_residue(plant_path, ctrl_path, samples, radius, seed, out_path):
     """Monte-Carlo zeroth-order estimate of the masked residue gradient."""
     plant = _load_plant(plant_path)
-    ctrl0 = _load_controller(ctrl_path)
+    ctrl0 = _load_controller(ctrl_path, plant)
     nom = build_nominal(plant, ctrl0)
     it0 = YoulaIterate.zero(nom)
     estimate = zo_residue_estimate(nom, it0, ZoConfig(radius, samples, seed))

@@ -181,17 +181,26 @@ class DynController:
         return {k: getattr(self, k).tolist() for k in self.KEYS}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DynController":
-        return cls(*json_values(data, cls.KEYS, "controller"))
+    def from_dict(cls, data: dict, plant: LqgPlant | None = None) -> "DynController":
+        """An order-0 record has no column count for B_K: given the plant, it
+        is read against the plant's, as `StateSpace.from_dict` reads B against D."""
+        A_K, B_K, C_K = json_values(data, cls.KEYS, "controller")
+        if plant is not None and not np.size(A_K):
+            A_K, B_K = np.zeros((0, 0)), B_K if np.size(B_K) else np.zeros((0, plant.n_outputs))
+        return cls(A_K, B_K, C_K)
 
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Augmented closed-loop dynamics and its two Lyapunov solutions.
+    """The closed loop as one generalized plant (Zhou, Doyle & Glover, Robust
+    and Optimal Control, 1996) and its two Lyapunov solutions.
 
-    Acl is the (n+q) x (n+q) loop matrix; Bcl and Ccl are the noise-input
-    and performance-output maps built from the square roots of (W, V) and
-    (Q, R); P and Sigma solve
+    Acl is the (n+q) x (n+q) loop matrix.  Its channels, built once from the
+    square roots of the weights, are the lifted nominal's and the
+    certificate's: Bcl takes the noise (w | v) in, Ccl the performance
+    (x | u) out, B_pert and C_pert a controller perturbation in (u | x_K) and
+    out (y | x_K); D12 is sqrt R on (u, u) and D21 sqrt V on (y, v), zero
+    elsewhere.  P and Sigma solve
 
         Acl^T P + P Acl + Ccl^T Ccl = 0,
         Acl Sigma + Sigma Acl^T + Bcl Bcl^T = 0.
@@ -204,6 +213,10 @@ class ClosedLoop:
     Acl: np.ndarray
     Bcl: np.ndarray
     Ccl: np.ndarray
+    B_pert: np.ndarray
+    C_pert: np.ndarray
+    D12: np.ndarray
+    D21: np.ndarray
     P: np.ndarray
     Sigma: np.ndarray
     n: int
@@ -222,36 +235,42 @@ def loop_matrix(plant: LqgPlant, ctrl: DynController) -> np.ndarray:
 
 
 def perturbation_channels(plant: LqgPlant, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maps through which a perturbation of an order-q controller enters and
-    leaves the augmented loop: B_p = [[B, 0], [0, I]], C_p = [[C, 0], [0, I]]."""
-
-    def with_identity(M):
-        out = np.zeros((M.shape[0] + q, M.shape[1] + q))
-        out[: M.shape[0], : M.shape[1]], out[M.shape[0] :, M.shape[1] :] = M, np.eye(q)
-        return out
-
-    return with_identity(plant.B), with_identity(plant.C)
+    """The maps through which a perturbation of an order-q controller enters
+    and leaves the loop: B_pert = [[B, 0], [0, I]], C_pert = [[C, 0], [0, I]]."""
+    (n, m1), m2 = plant.B.shape, plant.n_outputs
+    B_pert, C_pert = np.zeros((n + q, m1 + q)), np.zeros((m2 + q, n + q))
+    B_pert[:n, :m1], B_pert[n:, m1:] = plant.B, np.eye(q)
+    C_pert[:m2, :n], C_pert[m2:, n:] = plant.C, np.eye(q)
+    return B_pert, C_pert
 
 
 def close_loop(plant: LqgPlant, ctrl: DynController) -> ClosedLoop:
-    """Assemble the augmented loop; fails if the controller does not stabilize."""
+    """Assemble the augmented loop and its channels, once; fails if the
+    controller does not stabilize."""
     if ctrl.B_K.shape[1] != plant.n_outputs:
         raise DimensionError("B_K column count must equal the plant output count")
     if ctrl.C_K.shape[0] != plant.n_inputs:
         raise DimensionError("C_K row count must equal the plant input count")
     n, q = plant.n, ctrl.order
+    m1, m2 = plant.n_inputs, plant.n_outputs
     form = solvers.schur_form(loop_matrix(plant, ctrl))
     if not form.is_stable():
         raise UnstableError("controller not stabilizing")
-    Bcl = np.zeros((n + q, n + plant.n_outputs))
+    sqrt_R, sqrt_V = solvers.psd_sqrt(plant.R), solvers.psd_sqrt(plant.V)
+    B_pert, C_pert = perturbation_channels(plant, q)
+    Bcl = np.zeros((n + q, n + m2))
     Bcl[:n, :n] = solvers.psd_sqrt(plant.W)
-    Bcl[n:, n:] = ctrl.B_K @ solvers.psd_sqrt(plant.V)
-    Ccl = np.zeros((n + plant.n_inputs, n + q))
+    Bcl[n:, n:] = ctrl.B_K @ sqrt_V
+    Ccl = np.zeros((n + m1, n + q))
     Ccl[:n, :n] = solvers.psd_sqrt(plant.Q)
-    Ccl[n:, n:] = solvers.psd_sqrt(plant.R) @ ctrl.C_K
+    Ccl[n:, n:] = sqrt_R @ ctrl.C_K
+    D12 = np.zeros((n + m1, m1 + q))
+    D12[n:, :m1] = sqrt_R
+    D21 = np.zeros((m2 + q, n + m2))
+    D21[:m2, n:] = sqrt_V
     P = solvers.solve(form, form, Ccl.T @ Ccl, trans_a=True).solution
     Sigma = solvers.solve(form, form, Bcl @ Bcl.T, trans_b=True).solution
-    return ClosedLoop(form.A, Bcl, Ccl, P, Sigma, n, q, form)
+    return ClosedLoop(form.A, Bcl, Ccl, B_pert, C_pert, D12, D21, P, Sigma, n, q, form)
 
 
 def performance_realization(cl: ClosedLoop) -> StateSpace:
@@ -277,35 +296,20 @@ def lqg_cost(cl: ClosedLoop) -> float:
 @dataclass(frozen=True)
 class CertificateMatrices:
     """Constant blocks of the certificate transfer function Cterm (sI -
-    Acl)^-1 Bterm, Cterm = C1 - B1 P and Bterm = B0 - Sigma C0, which vanishes
-    identically exactly at a global optimum.  B0 and C1 carry the full
-    weights V and R.  The first Markov parameter Cterm Bterm is laid out like
-    the packed controller; without its structural-zero top-left block, twice
-    it is the cost gradient (`lqg_gradient`)."""
+    Acl)^-1 Bterm, Cterm = D12^T Ccl + B_pert^T P and Bterm = Bcl D21^T +
+    Sigma C_pert^T on the loop's channels, which vanishes identically exactly
+    at a global optimum and is the lifted sensitivity at the zero iterate.
+    The first Markov parameter Cterm Bterm is laid out like the packed
+    controller; without its structural-zero top-left block, twice it is the
+    cost gradient (`lqg_gradient`)."""
 
-    B0: np.ndarray
-    C0: np.ndarray
-    B1: np.ndarray
-    C1: np.ndarray
     Cterm: np.ndarray
     Bterm: np.ndarray
 
 
-def build_certificate_matrices(
-    plant: LqgPlant, ctrl: DynController, cl: ClosedLoop
-) -> CertificateMatrices:
-    n, q = cl.n, cl.q
-    m1, m2 = plant.n_inputs, plant.n_outputs
-    B0 = np.zeros((n + q, m2 + q))
-    B0[n:, :m2] = ctrl.B_K @ plant.V
-    B_p, C_p = perturbation_channels(plant, q)
-    # row-major like the other blocks: a product's rounding depends on the layout
-    C0, B1 = np.ascontiguousarray(-C_p.T), np.ascontiguousarray(-B_p.T)
-    C1 = np.zeros((m1 + q, n + q))
-    C1[:m1, n:] = plant.R @ ctrl.C_K
-    Cterm = C1 - B1 @ cl.P
-    Bterm = B0 - cl.Sigma @ C0
-    return CertificateMatrices(B0, C0, B1, C1, Cterm, Bterm)
+def build_certificate_matrices(cl: ClosedLoop) -> CertificateMatrices:
+    return CertificateMatrices(cl.D12.T @ cl.Ccl + cl.B_pert.T @ cl.P,
+                               cl.Bcl @ cl.D21.T + cl.Sigma @ cl.C_pert.T)
 
 
 def lqg_gradient(
@@ -316,7 +320,7 @@ def lqg_gradient(
     controller holds A_K, B_K and C_K."""
     if cl is None:
         cl = close_loop(plant, ctrl)
-    cm = build_certificate_matrices(plant, ctrl, cl)
+    cm = build_certificate_matrices(cl)
     return unpack(2.0 * (cm.Cterm @ cm.Bterm), plant.n_inputs, plant.n_outputs)
 
 

@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import DimensionError, UnstableError
 from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, free_entries, lqg_cost,
-                  mask_block, perturbation_channels)
-from .solvers import SchurForm, psd_sqrt, solve
+                  mask_block)
+from .solvers import SchurForm, solve
 from .ss import (
     StateSpace,
     frozen_matrix,
@@ -123,22 +123,15 @@ class NominalLft:
 def build_nominal(plant: LqgPlant, ctrl0: DynController) -> NominalLft:
     """Assemble the nominal four-block system at a stabilizing controller."""
     cl = close_loop(plant, ctrl0)
-    n, q = cl.n, cl.q
-    m1, m2 = plant.n_inputs, plant.n_outputs
-    Bcl, Ccl = cl.Bcl, cl.Ccl
-    B_pert, C_pert = perturbation_channels(plant, q)
-
-    D12 = np.zeros((Ccl.shape[0], m1 + q))
-    D12[n:, :m1] = psd_sqrt(plant.R)
-    D21 = np.zeros((m2 + q, Bcl.shape[1]))
-    D21[:m2, n:] = psd_sqrt(plant.V)
-
-    # every block in the Schur coordinates of the one form close_loop made
+    # every block in the Schur coordinates of the one form close_loop made,
+    # from the loop's channels, each product formed once
     T, Z = cl.form.T, cl.form.Z
-    M11 = StateSpace(T, Z.T @ Bcl, Ccl @ Z, np.zeros((Ccl.shape[0], Bcl.shape[1])))
-    M12 = StateSpace(T, Z.T @ B_pert, Ccl @ Z, D12)
-    M21 = StateSpace(T, Z.T @ Bcl, C_pert @ Z, D21)
-    M22 = StateSpace(T, Z.T @ B_pert, C_pert @ Z, np.zeros((m2 + q, m1 + q)))
+    B_noise, B_pert = Z.T @ cl.Bcl, Z.T @ cl.B_pert
+    C_perf, C_pert = cl.Ccl @ Z, cl.C_pert @ Z
+    M11 = StateSpace(T, B_noise, C_perf, np.zeros((C_perf.shape[0], B_noise.shape[1])))
+    M12 = StateSpace(T, B_pert, C_perf, cl.D12)
+    M21 = StateSpace(T, B_noise, C_pert, cl.D21)
+    M22 = StateSpace(T, B_pert, C_pert, np.zeros((C_pert.shape[0], B_pert.shape[1])))
     return NominalLft(plant, ctrl0, cl, M11, M12, M21, M22, lqg_cost(cl))
 
 
@@ -231,8 +224,7 @@ def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     balanced truncation.
 
     S is the stable part of M12~ T M21~, T = M11 + M12 (Q_dyn + Q_stat) M21
-    the cost map; at the zero iterate it is the certificate transfer function
-    Cterm (sI - Acl)^-1 Bterm (`lqg.build_certificate_matrices`).  With
+    the cost map.  With
     T = (A_T, B_T, C_T, 0) and X_T its observability Gramian, the projection
     identity for the stable part of G~ H, G and H stable (Zhou, Doyle &
     Glover, Robust and Optimal Control, 1996, ch. 8), gives
@@ -245,6 +237,10 @@ def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
       Tcl^T Y + Y A_T + C12^T C_T = 0, the equation of the stable part of
       M12~ times that system: A_T's first block column is [Tcl; 0] and
       C_T's first block is C12, M12's output map.
+
+    At the zero iterate, where X_T is P and W is Sigma on one copy of the
+    closed loop, S is the certificate transfer function Cterm (sI - Acl)^-1
+    Bterm (`lqg.build_certificate_matrices`).
 
     Before its truncation S is exactly strictly proper and has T's
     quasi-triangular state matrix, its own Schur form.
@@ -368,17 +364,15 @@ def iterate_from_controller(nom: NominalLft, target: DynController) -> YoulaIter
     """The lifted coordinates of a conventional controller.
 
     For DeltaK = target - ctrl0 the static part is DeltaK itself and the
-    dynamic part is DeltaK Cp (sI - Acl')^-1 Bp DeltaK built on the loop
-    closed with the target controller.
+    dynamic part is DeltaK C_pert (sI - Acl')^-1 B_pert DeltaK, on the
+    channels of the loop closed with the target controller.
     """
-    plant = nom.plant
     if target.order != nom.ctrl0.order:
         raise DimensionError("target controller order must match the base controller")
     delta = target.as_packed() - nom.ctrl0.as_packed()
-    cl_target = close_loop(plant, target)  # also verifies stabilization
-    Bp, Cp = perturbation_channels(plant, target.order)
-    Q_dyn = _on_basis(StateSpace(cl_target.Acl, Bp @ delta, delta @ Cp, np.zeros_like(delta)),
-                      cl_target.form)
+    cl = close_loop(nom.plant, target)  # also verifies stabilization
+    Q_dyn = _on_basis(StateSpace(cl.Acl, cl.B_pert @ delta, delta @ cl.C_pert,
+                                 np.zeros_like(delta)), cl.form)
     return YoulaIterate(minreal(Q_dyn), delta)
 
 

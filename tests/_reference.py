@@ -129,7 +129,7 @@ def certificate_system(nom):
     """The certificate transfer function Cterm (sI - Acl)^-1 Bterm of the
     nominal's base controller, realized on the closed loop's Schur form as
     (T, Z^T Bterm, Cterm Z, 0): its own form."""
-    cm = build_certificate_matrices(nom.plant, nom.ctrl0, nom.cl)
+    cm = build_certificate_matrices(nom.cl)
     T, Z = nom.cl.form.T, nom.cl.form.Z
     return StateSpace(T, Z.T @ cm.Bterm, cm.Cterm @ Z,
                       np.zeros((cm.Cterm.shape[0], cm.Bterm.shape[1])))

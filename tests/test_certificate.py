@@ -52,21 +52,21 @@ class TestCertify:
 
 
 class TestCertificateMatrices:
-    def test_zero_output_gain_kills_c1(self, plant1, ctrl_stationary):
+    def test_decoupled_saddle_kills_the_weight_terms(self, plant1, ctrl_stationary):
+        # B_K = 0 and C_K = 0: Cterm and Bterm keep only their Lyapunov terms
         cl = close_loop(plant1, ctrl_stationary)
-        cm = build_certificate_matrices(plant1, ctrl_stationary, cl)
-        assert not np.any(cm.C1)
-        assert not np.any(cm.B0)
+        assert not np.any(cl.D12.T @ cl.Ccl)
+        assert not np.any(cl.Bcl @ cl.D21.T)
 
     def test_shapes(self, plant1, ctrl_opt):
         cl = close_loop(plant1, ctrl_opt)
-        cm = build_certificate_matrices(plant1, ctrl_opt, cl)
+        cm = build_certificate_matrices(cl)
         assert cm.Cterm.shape == (3, 4)  # (m1+q) x (n+q)
         assert cm.Bterm.shape == (4, 3)  # (n+q) x (m2+q)
 
     def test_first_markov_parameter_vanishes_at_optimum(self, plant1, ctrl_opt):
         cl = close_loop(plant1, ctrl_opt)
-        cm = build_certificate_matrices(plant1, ctrl_opt, cl)
+        cm = build_certificate_matrices(cl)
         lhs = np.linalg.norm(cm.Cterm @ cm.Bterm, "fro")
         scale = np.linalg.norm(cm.Cterm, "fro") * np.linalg.norm(cm.Bterm, "fro")
         assert lhs <= 1e-6 * scale
@@ -87,10 +87,8 @@ class TestMarkovTest:
 
     def test_zero_input_matrix_gives_zeros(self, plant1, ctrl_opt):
         cl = close_loop(plant1, ctrl_opt)
-        cm = build_certificate_matrices(plant1, ctrl_opt, cl)
-        cm_zero = CertificateMatrices(
-            cm.B0, cm.C0, cm.B1, cm.C1, cm.Cterm, np.zeros_like(cm.Bterm)
-        )
+        cm = build_certificate_matrices(cl)
+        cm_zero = CertificateMatrices(cm.Cterm, np.zeros_like(cm.Bterm))
         raw, normalized = markov_test(cm_zero, cl.Acl, 4)
         assert max(raw) == 0.0
         assert max(normalized) == 0.0
@@ -99,7 +97,7 @@ class TestMarkovTest:
         # raw = normalized ||C|| ||B|| a^i, which matches C A^i B computed
         # directly, and normalized = raw / (||C|| a^i ||B||)
         A, B, C = rng.normal(size=(4, 4)), rng.normal(size=(4, 2)), rng.normal(size=(3, 4))
-        cm = CertificateMatrices(None, None, None, None, C, B)
+        cm = CertificateMatrices(C, B)
         raw, normalized = markov_test(cm, A, 6)
         a = np.linalg.norm(A, 2)
         for i in range(6):
@@ -112,8 +110,7 @@ class TestMarkovTest:
         # a^2 = 1e320 overflows, but C A^2 B = 1e220 + 0.25 does not; C A^3 B
         # is 1e380
         A = np.diag([1e160, 0.5])
-        cm = CertificateMatrices(None, None, None, None, np.array([[1e-100, 1.0]]),
-                                 np.ones((2, 1)))
+        cm = CertificateMatrices(np.array([[1e-100, 1.0]]), np.ones((2, 1)))
         raw, normalized = markov_test(cm, A, 4)
         assert raw[2] == pytest.approx(1e220, rel=1e-12)
         assert raw[3] == np.inf
@@ -257,7 +254,7 @@ class TestProperties:
         # finite Markov test passes
         for ctrl, should_vanish in ((ctrl_opt, True), (ctrl_stationary, False)):
             cl = close_loop(plant1, ctrl)
-            cm = build_certificate_matrices(plant1, ctrl, cl)
+            cm = build_certificate_matrices(cl)
             g0 = StateSpace(cl.Acl, cm.Bterm, cm.Cterm, np.zeros((3, 3)))
             peak = max(
                 np.abs(freq_response(g0, w)).max()

@@ -247,6 +247,53 @@ class TestOptimize:
         assert not out.exists()
 
 
+class TestOrderZeroController:
+    # u = 0 stabilizes the open-loop-stable example-1 plant; its record
+    # {"A_K": [], "B_K": [], "C_K": [[]]} is read against the plant
+    @pytest.fixture()
+    def ctrl_path(self, io_dir):
+        path = io_dir / "ctrl_order0.json"
+        path.write_text(json.dumps(
+            DynController(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0))).to_dict()))
+        return path
+
+    def test_certify(self, runner, io_dir, ctrl_path):
+        result = runner.invoke(
+            main, ["certify", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(ctrl_path)],
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["verdict"] == "stationary_not_optimal"
+        assert payload["grad_norm"] == 0.0
+        assert (payload["rank_P2"], payload["rank_Sigma2"]) == (0, 0)
+
+    def test_optimize_descends(self, runner, io_dir, ctrl_path):
+        out = io_dir / "order0.csv"
+        result = runner.invoke(
+            main, ["optimize", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(ctrl_path), "--iters", "5", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        _, rows = read_csv(out)
+        costs = [float(row[1]) for row in rows]
+        assert costs[0] == pytest.approx(5.0 / 3.0, rel=1e-11)  # printed to 12 digits
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("record", [
+        {"A_K": [], "B_K": [[1.0]], "C_K": [[]]},
+        {"A_K": [], "B_K": [], "C_K": [[], []]},
+        {"A_K": [[-1.0]], "B_K": [[0.0, 0.0]], "C_K": [[0.0]]},
+    ])
+    def test_mismatched_dimensions_exit_2(self, runner, io_dir, record):
+        bad = io_dir / "ctrl_bad.json"
+        bad.write_text(json.dumps(record))
+        result = runner.invoke(
+            main, ["certify", "--plant", str(io_dir / "plant.json"), "--controller", str(bad)],
+        )
+        assert result.exit_code == 2, result.output
+
+
 class TestPg:
     def test_schema(self, runner, io_dir):
         out = io_dir / "pg.csv"
@@ -383,6 +430,38 @@ class TestEstimationCommands:
         payload = json.loads(out.read_text())
         coeffs = np.array(payload["laguerre_coefficients"])
         assert coeffs.shape == (3, 3, 7)
+
+    def test_estimate_s_methods_agree(self, runner, io_dir):
+        # the derivative method's coefficients, difference quotients of the
+        # lifted cost, match the projection of the sensitivity system
+        coeffs = {}
+        for method in ("projection", "derivative"):
+            out = io_dir / f"shat_{method}.json"
+            result = runner.invoke(
+                main, ["estimate-s", "--plant", str(io_dir / "plant.json"),
+                       "--controller", str(io_dir / "ctrl_ex2.json"), "--laguerre-order", "3",
+                       "--method", method, "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            payload = json.loads(out.read_text())
+            assert payload["metadata"]["settings"]["method"] == method
+            coeffs[method] = np.array(payload["laguerre_coefficients"])
+        assert coeffs["derivative"].shape == coeffs["projection"].shape == (3, 3, 4)
+        assert np.abs(coeffs["derivative"] - coeffs["projection"]).max() <= 1e-9
+
+    def test_estimate_residue_writes_its_report(self, runner, io_dir):
+        out = io_dir / "residue.json"
+        result = runner.invoke(
+            main, ["estimate-residue", "--plant", str(io_dir / "plant.json"),
+                   "--controller", str(io_dir / "ctrl_ex2.json"),
+                   "--samples", "200", "--seed", "3", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"estimate", "reference", "relative_error", "metadata"}
+        assert payload["metadata"]["seed"] == 3
+        assert np.shape(payload["estimate"]) == np.shape(payload["reference"]) == (3, 3)
+        assert json.loads(result.output)["relative_error"] == payload["relative_error"]
 
     def test_estimate_residue(self, runner, io_dir):
         result = runner.invoke(

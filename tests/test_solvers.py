@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import duplicated, random_spd
+from conftest import duplicated, random_spd, stiff_plant
 from lqgpo import solvers
 from lqgpo.errors import DimensionError, SolverError
 from lqgpo.lqg import LqrProblem, close_loop, lqr_optimal, lqr_terms, performance_realization
@@ -142,6 +142,29 @@ class TestCare:
         B = np.array([[1.0], [0.0]])
         with pytest.raises(SolverError):
             care(A, B, np.eye(2), np.eye(1))
+
+    def test_newton_kleinman_polishes_a_perturbed_seed(self, monkeypatch):
+        # the Schur-method seed comes back 1e-6 (relative) off the stiff
+        # plant's solution; the Newton-Kleinman steps bring it back
+        plant = stiff_plant(8)
+        args = (plant.A, plant.B, plant.Q, plant.R)
+        exact = care(*args).solution
+        E = np.random.default_rng(0).normal(size=exact.shape)
+        E = (E + E.T) * (1e-6 * np.linalg.norm(exact) / np.linalg.norm(E + E.T))
+        monkeypatch.setattr(solvers.sla, "solve_continuous_are", lambda *a: exact + E)
+        polish, solve = [], solvers.solve
+
+        def counted(*a, **kw):
+            polish.append(a)
+            return solve(*a, **kw)
+
+        monkeypatch.setattr(solvers, "solve", counted)
+        rep = care(*args)  # raises unless the residual is certified
+        assert polish
+        # below the polishing stop, 1e-10 of about 2 ||A|| ||P||
+        scale = 2 * np.linalg.norm(plant.A) * np.linalg.norm(rep.solution)
+        assert rep.residual_norm <= 1e-10 * scale
+        assert np.linalg.norm(rep.solution - exact) <= 1e-11 * np.linalg.norm(exact)
 
 
 def test_psd_sqrt():
@@ -546,3 +569,26 @@ def test_only_lqg_defines_the_packed_layout():
     assert defined == {("lqg.py", name) for name in names}
     assert certificate.mask_block is youla.mask_block is lqg.mask_block
     assert sysid.free_entries is youla.free_entries is lqg.free_entries
+
+
+def _calls(tree, names):
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & set(names)}
+
+
+def test_only_lqg_builds_the_loop_channels():
+    """The loop's channels (`lqg.ClosedLoop`) are built once, by close_loop:
+    no module but solvers calls perturbation_channels or psd_sqrt outside
+    it; the lifted nominal and the certificate read them off the loop."""
+    names = ("perturbation_channels", "psd_sqrt")
+    inside, outside = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "solvers.py":
+            continue
+        tree = ast.parse(path.read_text())
+        if path.name == "lqg.py":
+            inside = {call for func in ast.walk(tree)
+                      if isinstance(func, ast.FunctionDef) and func.name == "close_loop"
+                      for call in _calls(func, names)}
+        outside += [(path.name, call.lineno) for call in _calls(tree, names) - inside]
+    assert inside and outside == []

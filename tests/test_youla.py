@@ -438,7 +438,7 @@ class TestSchurCoordinates:
         assert factorizations == {}
         cl = nom.cl
         B_pert, C_pert = perturbation_channels(plant, cl.q)
-        cm = build_certificate_matrices(plant, ctrl0, cl)
+        cm = build_certificate_matrices(cl)
         on_acl = [(cl.Bcl, cl.Ccl), (B_pert, cl.Ccl), (cl.Bcl, C_pert), (B_pert, C_pert),
                   (cm.Bterm, cm.Cterm)]
         for g, (B, C) in zip(blocks, on_acl):
