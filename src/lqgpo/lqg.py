@@ -181,12 +181,12 @@ class DynController:
         return {k: getattr(self, k).tolist() for k in self.KEYS}
 
     @classmethod
-    def from_dict(cls, data: dict, plant: LqgPlant | None = None) -> "DynController":
-        """An order-0 record has no column count for B_K: given the plant, it
-        is read against the plant's, as `StateSpace.from_dict` reads B against D."""
+    def from_dict(cls, data: dict, plant: LqgPlant) -> "DynController":
+        """An order-0 record has no column count for B_K: it is read against
+        the plant's output count, as `StateSpace.from_dict` reads B against D."""
         A_K, B_K, C_K = json_values(data, cls.KEYS, "controller")
-        if plant is not None and not np.size(A_K):
-            A_K, B_K = np.zeros((0, 0)), B_K if np.size(B_K) else np.zeros((0, plant.n_outputs))
+        if len(A_K) == 0 and len(B_K) == 0:
+            A_K, B_K = np.zeros((0, 0)), np.zeros((0, plant.n_outputs))
         return cls(A_K, B_K, C_K)
 
 
@@ -251,8 +251,7 @@ def close_loop(plant: LqgPlant, ctrl: DynController) -> ClosedLoop:
         raise DimensionError("B_K column count must equal the plant output count")
     if ctrl.C_K.shape[0] != plant.n_inputs:
         raise DimensionError("C_K row count must equal the plant input count")
-    n, q = plant.n, ctrl.order
-    m1, m2 = plant.n_inputs, plant.n_outputs
+    n, q, m1, m2 = plant.n, ctrl.order, plant.n_inputs, plant.n_outputs
     form = solvers.schur_form(loop_matrix(plant, ctrl))
     if not form.is_stable():
         raise UnstableError("controller not stabilizing")
@@ -308,8 +307,10 @@ class CertificateMatrices:
 
 
 def build_certificate_matrices(cl: ClosedLoop) -> CertificateMatrices:
-    return CertificateMatrices(cl.D12.T @ cl.Ccl + cl.B_pert.T @ cl.P,
-                               cl.Bcl @ cl.D21.T + cl.Sigma @ cl.C_pert.T)
+    # row-major like the other blocks: a product's rounding depends on the layout
+    B_pert_T, C_pert_T = np.ascontiguousarray(cl.B_pert.T), np.ascontiguousarray(cl.C_pert.T)
+    return CertificateMatrices(cl.D12.T @ cl.Ccl + B_pert_T @ cl.P,
+                               cl.Bcl @ cl.D21.T + cl.Sigma @ C_pert_T)
 
 
 def lqg_gradient(

@@ -123,8 +123,7 @@ class NominalLft:
 def build_nominal(plant: LqgPlant, ctrl0: DynController) -> NominalLft:
     """Assemble the nominal four-block system at a stabilizing controller."""
     cl = close_loop(plant, ctrl0)
-    # every block in the Schur coordinates of the one form close_loop made,
-    # from the loop's channels, each product formed once
+    # every block in close_loop's Schur coordinates, each channel product formed once
     T, Z = cl.form.T, cl.form.Z
     B_noise, B_pert = Z.T @ cl.Bcl, Z.T @ cl.B_pert
     C_perf, C_pert = cl.Ccl @ Z, cl.C_pert @ Z

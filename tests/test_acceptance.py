@@ -70,7 +70,7 @@ def test_criterion_01_optimal_controller_reproduction(tmp_path):
         ["solve-lqg", "--plant", str(plant_path), "--out-controller", str(out)],
     )
     elapsed = time.perf_counter() - t0
-    ctrl = DynController.from_dict(json.loads(out.read_text()))
+    ctrl = DynController.from_dict(json.loads(out.read_text()), example1_plant())
     devs = [
         np.abs(ctrl.A_K - A_K_STAR).max(),
         np.abs(ctrl.B_K - B_K_STAR).max(),
