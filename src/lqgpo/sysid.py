@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import matrix_power
 
 from . import solvers
 from .errors import IdentifiabilityError
@@ -49,8 +48,10 @@ def default_grid(n_points: int = 200, lo: float = 0.1, hi: float = 100.0, spacin
 def _rk4_step_ops(A, B, h):
     """Propagation matrix and input weights of one fixed-step RK4 update,
     x+ = M0 x + W1 u(t) + W2 u(t + h/2) + W3 u(t + h), with one column of
-    each W per input channel."""
+    each W per input channel.  A 1-D array of K steps gives stacks of K of
+    each, every slice formed by the same operations as for its one step."""
     n, m = B.shape
+    h = np.asarray(h, dtype=float)[..., None, None]
 
     def update(x, u1, u2, u3):
         k1 = A @ x + B @ u1
@@ -63,6 +64,118 @@ def _rk4_step_ops(A, B, h):
     M0 = update(np.eye(n), rest, rest, rest)
     I, O, x0 = np.eye(m), np.zeros((m, m)), np.zeros((n, m))
     return M0, update(x0, I, O, O), update(x0, O, I, O), update(x0, O, O, I)
+
+
+def _stacked_powers(P, exponents):
+    """P[k]^e[k] for every exponent array e, stacked as (len(exponents), K,
+    n, n), each slice multiplied as `numpy.linalg.matrix_power` multiplies
+    it alone.  The squaring chain z = P, P^2, P^4, ... is formed once for
+    the whole stack and shared by all exponents; each slice starts from the
+    z of its exponent's lowest set bit and takes result @ z at each higher
+    one, except e = 0 (the identity) and e = 3, formed as (P P) P."""
+    e = np.array(exponents)
+    powers = np.broadcast_to(np.eye(P.shape[-1], dtype=P.dtype), e.shape + P.shape[1:]).copy()
+    started = np.zeros(e.shape, dtype=bool)
+    z = P
+    for level in range(int(e.max()).bit_length()):
+        if level:
+            z = z @ z
+        bit = (e >> level) & 1 == 1
+        again = bit & started
+        if again.any():
+            np.copyto(powers, powers @ z, where=again[..., None, None])
+        np.copyto(powers, z, where=(bit & ~started)[..., None, None])
+        started |= bit
+        if level == 1 and (e == 3).any():
+            np.copyto(powers, z @ P, where=(e == 3)[..., None, None])
+    return powers
+
+
+def _sine_grid(g, omegas, settle_cycles=20, sample_cycles=10, step=None) -> np.ndarray:
+    """`sine_response` at every frequency of a 1-D grid, as a (K, p, m)
+    array whose slices equal the one-frequency calls' bit for bit.
+
+    The RK4 recursion is not stepped: with z = e^{j omega h} its update is
+    x_{k+1} = M0 x_k + Im(z^k F), F = W1 + e^{j omega h/2} W2 + z W3, so its
+    samples are x_k = Im(z^k X) - M0^k Im X with the periodic steady state
+    X = (zI - M0)^-1 F, all channels in one solve.  The steady state fits
+    exactly, to C X + D.  The fit of the M0^k transient over the window of
+    N samples from step a takes the window sum
+    S = sum_k (z M0)^k = (z M0)^a (I - z M0)^-1 (I - (z M0)^N) and the Gram
+    matrix of the sin/cos design from the geometric sum of z^{2k}, a
+    Dirichlet kernel.  The result equals the stepped simulation's to
+    rounding, at a cost independent of the number of steps.
+
+    The grid is one stacked pass: the step operators, the steady states,
+    both powers of z M0 (from one squaring chain shared by the whole grid
+    and both exponents, see `_stacked_powers`) and the 2 x 2 transient fits
+    are each one batched numpy call over the K frequencies.  Only the
+    per-frequency scalars (the step, the step counts and the Dirichlet
+    kernel) are formed one frequency at a time, with `math`, so no
+    vectorized log or sin rounding can move a step count.
+
+    Raises the ValueError the first failing frequency's `sine_response`
+    call raises, before any solve.  An empty grid gives a (0, p, m) array.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"omegas must be a 1-D grid, got shape {omegas.shape}")
+    steps, error, stable = [], None, g.is_stable()
+    for omega in omegas:
+        if not omega > 0:
+            error = f"omega must be positive, got {omega}"
+            break
+        h = min(0.01, 0.05 / omega) if step is None else float(step)
+        if not h > 0:
+            error = f"step must be positive, got {h}"
+        elif not (settle_cycles >= 0 and sample_cycles >= 1):
+            error = ("need settle_cycles >= 0 and sample_cycles >= 1, "
+                     f"got {settle_cycles}, {sample_cycles}")
+        elif not stable:
+            error = "sine excitation requires a stable system"
+        elif omega * h > 0.2:
+            error = f"step {h} too coarse for omega {omega} (omega*h > 0.2)"
+        if error:
+            break
+        steps.append(h)
+    h = np.array(steps)
+    if g.n_states and len(h):
+        # M0 = R(hA) with RK4's stability function R(z) = 1 + z + z^2/2 +
+        # z^3/6 + z^4/24, so its eigenvalues are R(h lambda) over the poles
+        radii = np.abs(np.polynomial.polynomial.polyval(
+            h[:, None] * g.poles(), [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24])).max(axis=1)
+        for hk, radius in zip(h, radii):
+            if radius >= 1.0:
+                raise ValueError(f"step {hk} is outside the RK4 stability region "
+                                 f"(spectral radius {radius:.6g} of the update)")
+    if error:
+        raise ValueError(error)
+    if g.n_states == 0 or not len(h):
+        return np.repeat(g.D.astype(complex)[None], len(h), axis=0)
+    log_eps, theta = math.log(np.finfo(float).eps), omegas * h
+    counts, E = [], []
+    for omega, hk, radius, th in zip(omegas, h, radii, theta):
+        period = 2.0 * math.pi / omega
+        n_decay = math.ceil(log_eps / math.log(radius)) if radius > 0 else 0
+        settle = max(math.ceil(settle_cycles * period / hk), n_decay)
+        window = math.ceil(sample_cycles * period / hk) + 1
+        counts.append((settle, window))
+        # sum over the window of z^{2k}, a Dirichlet kernel
+        E.append(np.exp(1j * th * (2 * settle + window - 1)) * math.sin(window * th) / math.sin(th))
+    n_settle, n_window = np.array(counts).T
+    E = np.array(E)
+    M0, W1, W2, W3 = _rk4_step_ops(g.A, g.B, h)
+    z, z_half = (np.exp(c * theta)[:, None, None] for c in (1j, 0.5j))
+    eye = np.eye(g.n_states)
+    X = np.linalg.solve(z * eye - M0, W1 + z_half * W2 + z * W3)
+    P, v = z * M0, X.imag
+    P_settle, P_window = _stacked_powers(P, (n_settle, n_window))
+    Sv = P_settle @ np.linalg.solve(eye - P, v - P_window @ v)
+    gram = 0.5 * np.stack([np.stack([n_window - E.real, E.imag], axis=-1),
+                           np.stack([E.imag, n_window + E.real], axis=-1)], axis=-2)
+    fit = np.stack([g.C @ Sv.imag, g.C @ Sv.real], axis=1).reshape(len(h), 2, -1)
+    transient = np.linalg.solve(gram, fit).reshape(len(h), 2, g.n_outputs, g.n_inputs)
+    return g.C @ X + g.D - (transient[:, 0] + 1j * transient[:, 1])
 
 
 def sine_response(
@@ -81,62 +194,15 @@ def sine_response(
     outputs are least-squares fit to alpha sin + beta cos over sample_cycles
     periods, giving the response alpha + j beta.  The system is linear and
     starts from rest, so the estimate does not depend on the amplitude.
-
-    The recursion is not stepped: with z = e^{j omega h} its update is
-    x_{k+1} = M0 x_k + Im(z^k F), F = W1 + e^{j omega h/2} W2 + z W3, so
-    its samples are x_k = Im(z^k X) - M0^k Im X with the periodic
-    steady state X = (zI - M0)^-1 F, all channels in one solve.  The
-    steady state fits exactly, to C X + D.  The fit of the M0^k transient
-    over the window of N samples from step a takes the window sum
-    S = sum_k (z M0)^k = (z M0)^a (I - z M0)^-1 (I - (z M0)^N) and the Gram
-    matrix of the sin/cos design from the geometric sum of z^{2k}.  The
-    result equals the stepped simulation's to rounding, at a cost
-    independent of the number of steps.
+    This is the one-frequency front of `_sine_grid`, which states the
+    closed form that replaces the stepping.
 
     Raises ValueError for NaN or non-positive omega or step,
     settle_cycles < 0 or sample_cycles < 1, an unstable system, a step with
     omega h > 0.2, and a step outside RK4's stability region (spectral
     radius of M0 at least 1), where the recursion has no steady state.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    h = min(0.01, 0.05 / omega) if step is None else float(step)
-    if not h > 0:
-        raise ValueError(f"step must be positive, got {h}")
-    if not (settle_cycles >= 0 and sample_cycles >= 1):
-        raise ValueError("need settle_cycles >= 0 and sample_cycles >= 1, "
-                         f"got {settle_cycles}, {sample_cycles}")
-    if not g.is_stable():
-        raise ValueError("sine excitation requires a stable system")
-    if omega * h > 0.2:
-        raise ValueError(f"step {h} too coarse for omega {omega} (omega*h > 0.2)")
-    if g.n_states == 0:
-        return g.D.astype(complex)
-    M0, W1, W2, W3 = _rk4_step_ops(g.A, g.B, h)
-    # M0 = R(hA) with RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 +
-    # z^4/24, so its eigenvalues are R(h lambda) over the system's poles
-    radius = np.abs(np.polynomial.polynomial.polyval(
-        h * g.poles(), [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24])).max()
-    if radius >= 1.0:
-        raise ValueError(f"step {h} is outside the RK4 stability region "
-                         f"(spectral radius {radius:.6g} of the update)")
-    period = 2.0 * math.pi / omega
-    n_decay = math.ceil(math.log(np.finfo(float).eps) / math.log(radius)) if radius > 0 else 0
-    n_settle = max(int(np.ceil(settle_cycles * period / h)), n_decay)
-    n_window = int(np.ceil(sample_cycles * period / h)) + 1
-    theta = omega * h
-    z = np.exp(1j * theta)
-    eye = np.eye(g.n_states)
-    X = np.linalg.solve(z * eye - M0, W1 + np.exp(0.5j * theta) * W2 + z * W3)
-    P, v = z * M0, X.imag
-    Sv = matrix_power(P, n_settle) @ np.linalg.solve(eye - P, v - matrix_power(P, n_window) @ v)
-    # sum over the window of z^{2k}, a Dirichlet kernel
-    E = (np.exp(1j * theta * (2 * n_settle + n_window - 1))
-         * math.sin(n_window * theta) / math.sin(theta))
-    gram = 0.5 * np.array([[n_window - E.real, E.imag], [E.imag, n_window + E.real]])
-    transient = np.linalg.solve(gram, np.stack([g.C @ Sv.imag, g.C @ Sv.real]).reshape(2, -1))
-    transient = transient.reshape(2, g.n_outputs, g.n_inputs)
-    return g.C @ X + g.D - (transient[0] + 1j * transient[1])
+    return _sine_grid(g, [omega], settle_cycles, sample_cycles, step)[0]
 
 
 def fit_rational(omega, values, num_deg: int, den_deg: int, weights=None) -> RationalScalar:
@@ -194,8 +260,9 @@ def identify_m22(
     """Fit every entry of a transfer matrix individually.
 
     `degrees` is either one (num_deg, den_deg) pair for all entries or a
-    dict keyed by (i, j).  In mode "sine" the responses come from
-    `sine_response`.  Entries whose sampled response stays below
+    dict keyed by (i, j).  In mode "sine" the responses come from one
+    `_sine_grid` pass over the grid, as they come from one `freq_response`
+    call in mode "direct".  Entries whose sampled response stays below
     STRUCTURAL_ZERO_TOL across the grid are reported as structurally zero
     (None) and skipped.
     """
@@ -203,7 +270,7 @@ def identify_m22(
     if mode == "direct":
         responses = freq_response(g, grid)
     elif mode == "sine":
-        responses = np.array([sine_response(g, w) for w in grid])
+        responses = _sine_grid(g, grid)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     result: list[list[RationalScalar | None]] = []

@@ -1,7 +1,8 @@
 """Frozen reference values for the built-in benchmark systems, the
 step-by-step RK4 simulation that `sysid.sine_response` replaced by its
-closed form, and the lifted sensitivity and cost assembled on the nominal's
-dense realizations, which `youla` replaced by blocks in Schur coordinates:
+closed form, that closed form one frequency at a time, which
+`sysid._sine_grid` now stacks over a whole grid, and the lifted
+sensitivity and cost assembled on the nominal's dense realizations, which `youla` replaced by blocks in Schur coordinates:
 the sensitivity once through the reduced weights M12~ M12 and M21 M21~ and
 once as the stable part of the whole product M12~ T M21~, where `youla`
 reads it off the cost map's observability Gramian; the certificate transfer
@@ -28,6 +29,7 @@ with A_K* = A - B K - L C at the same displayed precision.
 import math
 
 import numpy as np
+from numpy.linalg import matrix_power
 
 from lqgpo import solvers
 from lqgpo.errors import SolverError, UnstableError
@@ -123,6 +125,74 @@ def sine_response_loop(g, omega, c_omega=1.0, settle_cycles=20, sample_cycles=10
         coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
         out[:, j] = (coef[0] + 1j * coef[1]) / c_omega
     return out
+
+
+def _rk4_step_ops_scalar(A, B, h):
+    """Propagation matrix and input weights of one fixed-step RK4 update of
+    step h, one column of each W per input channel."""
+    n, m = B.shape
+
+    def update(x, u1, u2, u3):
+        k1 = A @ x + B @ u1
+        k2 = A @ (x + 0.5 * h * k1) + B @ u2
+        k3 = A @ (x + 0.5 * h * k2) + B @ u2
+        k4 = A @ (x + h * k3) + B @ u3
+        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    rest = np.zeros((m, n))
+    M0 = update(np.eye(n), rest, rest, rest)
+    I, O, x0 = np.eye(m), np.zeros((m, m)), np.zeros((n, m))
+    return M0, update(x0, I, O, O), update(x0, O, I, O), update(x0, O, O, I)
+
+
+def sine_response_scalar(g, omega, settle_cycles=20, sample_cycles=10, step=None):
+    """The closed-form sine-excitation estimate of G(j omega) at one
+    frequency, with its checks, as `sysid.sine_response` computed it before
+    `sysid._sine_grid` stacked it over whole grids."""
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    h = min(0.01, 0.05 / omega) if step is None else float(step)
+    if not h > 0:
+        raise ValueError(f"step must be positive, got {h}")
+    if not (settle_cycles >= 0 and sample_cycles >= 1):
+        raise ValueError("need settle_cycles >= 0 and sample_cycles >= 1, "
+                         f"got {settle_cycles}, {sample_cycles}")
+    if not g.is_stable():
+        raise ValueError("sine excitation requires a stable system")
+    if omega * h > 0.2:
+        raise ValueError(f"step {h} too coarse for omega {omega} (omega*h > 0.2)")
+    if g.n_states == 0:
+        return g.D.astype(complex)
+    M0, W1, W2, W3 = _rk4_step_ops_scalar(g.A, g.B, h)
+    # M0 = R(hA) with RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 +
+    # z^4/24, so its eigenvalues are R(h lambda) over the system's poles
+    radius = np.abs(np.polynomial.polynomial.polyval(
+        h * g.poles(), [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24])).max()
+    if radius >= 1.0:
+        raise ValueError(f"step {h} is outside the RK4 stability region "
+                         f"(spectral radius {radius:.6g} of the update)")
+    period = 2.0 * math.pi / omega
+    n_decay = math.ceil(math.log(np.finfo(float).eps) / math.log(radius)) if radius > 0 else 0
+    n_settle = max(int(np.ceil(settle_cycles * period / h)), n_decay)
+    n_window = int(np.ceil(sample_cycles * period / h)) + 1
+    theta = omega * h
+    z = np.exp(1j * theta)
+    eye = np.eye(g.n_states)
+    X = np.linalg.solve(z * eye - M0, W1 + np.exp(0.5j * theta) * W2 + z * W3)
+    P, v = z * M0, X.imag
+    Sv = matrix_power(P, n_settle) @ np.linalg.solve(eye - P, v - matrix_power(P, n_window) @ v)
+    # sum over the window of z^{2k}, a Dirichlet kernel
+    E = (np.exp(1j * theta * (2 * n_settle + n_window - 1))
+         * math.sin(n_window * theta) / math.sin(theta))
+    gram = 0.5 * np.array([[n_window - E.real, E.imag], [E.imag, n_window + E.real]])
+    transient = np.linalg.solve(gram, np.stack([g.C @ Sv.imag, g.C @ Sv.real]).reshape(2, -1))
+    transient = transient.reshape(2, g.n_outputs, g.n_inputs)
+    return g.C @ X + g.D - (transient[0] + 1j * transient[1])
+
+
+def sine_response_stack(g, grid, **kwargs):
+    """`sine_response_scalar` at every frequency of a grid, stacked."""
+    return np.array([sine_response_scalar(g, w, **kwargs) for w in grid])
 
 
 def certificate_system(nom):

@@ -10,6 +10,7 @@ fails this suite first, and so is its traced replay, with the tracer's
 self-checks.
 """
 
+import inspect
 import os
 import sys
 
@@ -64,6 +65,29 @@ def test_bound_signatures_keep_the_parameters_read_by_name(spans):
     sine = set(spans._SINE_SIG.parameters)
     assert {"g", "omega", "step", "settle_cycles", "sample_cycles"} <= sine
     assert "iters" in spans._LQR_GD_SIG.parameters
+
+
+def test_sine_response_keeps_the_scalar_signature_the_hook_binds():
+    # `spans._rk4_steps` binds these by name and reads omega as one float
+    params = inspect.signature(sysid.sine_response).parameters
+    assert {name: p.default for name, p in params.items()} == {
+        "g": inspect.Parameter.empty, "omega": inspect.Parameter.empty,
+        "settle_cycles": 20, "sample_cycles": 10, "step": None,
+    }
+
+
+def test_sine_mode_identification_never_calls_the_traced_front(monkeypatch):
+    # the whole grid goes through `_sine_grid` in one call, so no traced
+    # `sine_response` call ever receives an array of frequencies
+    calls = {"sine_response": 0, "_sine_grid": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(sysid, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(sysid, name, counted)
+    g = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    sysid.identify_m22(g, [0.5, 1.0, 2.0, 4.0], (0, 1), mode="sine")
+    assert calls == {"sine_response": 0, "_sine_grid": 1}
 
 
 def test_hooks_count_traced_calls(spans):

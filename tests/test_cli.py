@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import stiff_plant
+from _reference import sine_response_stack
+from conftest import same_bits, stiff_plant
 from lqgpo import cli
 from lqgpo.benchmarks import example1_plant, example2_controller, stationary_controller
 from lqgpo.certificate import certify
 from lqgpo.cli import main
+from lqgpo.experiments import m22_truths
 from lqgpo.lqg import DynController, lqg_optimal
+from lqgpo.sysid import default_grid, fit_rational
+from lqgpo.youla import build_nominal
 
 
 @pytest.fixture()
@@ -420,6 +424,20 @@ class TestEstimationCommands:
                 if fit_d is not None:
                     for key in ("num", "den"):
                         assert np.abs(np.subtract(fit_s[key], fit_d[key])).max() <= 1e-3
+
+    def test_identify_sine_entries_fit_the_reference_stack(self, runner, io_dir):
+        # the written fits are bit for bit those of the one-frequency closed
+        # form stacked over the default grid
+        sine = self.identify_entries(runner, io_dir, "sine")
+        M22 = build_nominal(example1_plant(), example2_controller()).M22
+        grid = default_grid()
+        ref = sine_response_stack(M22, grid)
+        truths = m22_truths(M22)
+        for (i, j), truth in truths.items():
+            want = fit_rational(grid, ref[:, i, j], truth.num_degree, truth.den_degree)
+            assert same_bits(sine[i][j]["num"], want.num)
+            assert same_bits(sine[i][j]["den"], want.den)
+        assert sum(fit is not None for row in sine for fit in row) == len(truths)
 
     def test_estimate_s(self, runner, io_dir):
         out = io_dir / "shat.json"

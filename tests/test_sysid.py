@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from _reference import M22_ZERO_ENTRIES, sine_response_loop
+from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, sine_response_loop, sine_response_scalar,
+                        sine_response_stack)
+from conftest import load_perfbench, same_bits
 from lqgpo.errors import IdentifiabilityError, UnstableError
 from lqgpo.ss import (
     RationalScalar,
@@ -33,6 +35,8 @@ from lqgpo.sysid import (
     zo_gradient_estimate,
     zo_residue_estimate,
     _rk4_step_ops,
+    _sine_grid,
+    _stacked_powers,
 )
 from lqgpo.youla import (
     YoulaIterate,
@@ -70,6 +74,33 @@ def stepped_reference(g, omega, settle_cycles=20, step=None, **kwargs):
     return sine_response_loop(g, omega, settle_cycles=cycles, step=step, **kwargs)
 
 
+STEPPED_CASES = ["laguerre", "feedthrough", "no-settle", "step", "static"]
+
+
+def stepped_case(case):
+    """(system, omega, keyword arguments) of a stepped-recursion check."""
+    return {
+        # a chain of equal poles: M0 is defective
+        "laguerre": (LaguerreBasis(1.0, 5).chain(), 0.5, {}),
+        "feedthrough": (StateSpace([[-1.0, 2.0], [0.0, -3.0]], [[1.0, 0.0], [1.0, 1.0]],
+                                   [[1.0, 0.5]], [[0.7, -0.2]]), 2.0, {}),
+        # slow poles: the settle length comes from the decay rule alone
+        "no-settle": (StateSpace([[-0.05, 1.0], [0.0, -0.1]], [[1.0], [0.3]],
+                                 [[1.0, 0.0], [0.2, 1.0]], [[0.0], [0.0]]), 0.7,
+                      {"settle_cycles": 0, "sample_cycles": 1}),
+        # the reference excites at amplitude 2.5, which the estimate
+        # does not depend on
+        "step": (lag_half(), 2.0, {"step": 0.003, "c_omega": 2.5}),
+        "static": (StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)),
+                              [[0.3, -1.2]]), 1.0, {}),
+    }[case]
+
+
+def front_kwargs(kwargs):
+    """A stepped case's keyword arguments without the reference's amplitude."""
+    return {k: v for k, v in kwargs.items() if k != "c_omega"}
+
+
 @pytest.fixture(scope="module")
 def nom_ex2(plant1, ctrl_ex2):
     return build_nominal(plant1, ctrl_ex2)
@@ -105,24 +136,10 @@ class TestSineResponse:
         for i, j in M22_ZERO_ENTRIES:
             assert est[i, j] == 0.0
 
-    @pytest.mark.parametrize("case", ["laguerre", "feedthrough", "no-settle", "step", "static"])
+    @pytest.mark.parametrize("case", STEPPED_CASES)
     def test_matches_stepped_recursion(self, case):
-        g, omega, kwargs = {
-            # a chain of equal poles: M0 is defective
-            "laguerre": (LaguerreBasis(1.0, 5).chain(), 0.5, {}),
-            "feedthrough": (StateSpace([[-1.0, 2.0], [0.0, -3.0]], [[1.0, 0.0], [1.0, 1.0]],
-                                       [[1.0, 0.5]], [[0.7, -0.2]]), 2.0, {}),
-            # slow poles: the settle length comes from the decay rule alone
-            "no-settle": (StateSpace([[-0.05, 1.0], [0.0, -0.1]], [[1.0], [0.3]],
-                                     [[1.0, 0.0], [0.2, 1.0]], [[0.0], [0.0]]), 0.7,
-                          {"settle_cycles": 0, "sample_cycles": 1}),
-            # the reference excites at amplitude 2.5, which the estimate
-            # does not depend on
-            "step": (lag_half(), 2.0, {"step": 0.003, "c_omega": 2.5}),
-            "static": (StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)),
-                                  [[0.3, -1.2]]), 1.0, {}),
-        }[case]
-        est = sine_response(g, omega, **{k: v for k, v in kwargs.items() if k != "c_omega"})
+        g, omega, kwargs = stepped_case(case)
+        est = sine_response(g, omega, **front_kwargs(kwargs))
         ref = stepped_reference(g, omega, **kwargs)
         assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -157,6 +174,106 @@ class TestSineResponse:
         stiff = StateSpace([[-1000.0]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(ValueError, match="stability region"):
             sine_response(stiff, 1.0)
+
+
+# (system, grid, keyword arguments, text naming the first bad frequency)
+GRID_ERRORS = {
+    "omega-zero": (lag_half(), [1.0, 0.0, 2.0], {}, "got 0.0"),
+    "omega-negative": (lag_half(), [1.0, -1.0, 0.0], {}, "got -1.0"),
+    "omega-nan": (lag_half(), [1.0, float("nan"), 2.0], {}, "got nan"),
+    "coarse-step": (lag_half(), [1.0, 5.0, 10.0, 20.0], {"step": 0.03}, "omega 10.0"),
+    # h = 0.01 at omega = 1 puts h * -1000 outside the region; the bad
+    # frequency after it is not reached
+    "rk4-region": (StateSpace([[-1000.0]], [[1.0]], [[1.0]], [[0.0]]), [20.0, 1.0, 0.0], {},
+                   "step 0.01 is outside"),
+    "unstable": (StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]]), [1.0, 2.0], {}, "stable system"),
+    "settle-cycles": (lag_half(), [1.0, 2.0], {"settle_cycles": -1}, "got -1, 10"),
+    "sample-cycles": (lag_half(), [1.0, 2.0], {"sample_cycles": 0}, "got 20, 0"),
+}
+
+
+class TestSineGrid:
+    """`_sine_grid` is bit for bit the frozen one-frequency closed form
+    stacked over the grid, and so is its one-frequency front."""
+
+    @pytest.mark.parametrize("seed", [101, 102, 307])
+    def test_benchmark_grid(self, nom_ex2, seed):
+        # the estimation benchmark's jittered 8-point grid at this seed
+        workloads = load_perfbench("workloads")
+        grid = workloads._jittered_log_grid(np.random.default_rng(seed),
+                                            *workloads.SIZES["full"]["sine_grid"])
+        assert same_bits(_sine_grid(nom_ex2.M22, grid), sine_response_stack(nom_ex2.M22, grid))
+
+    def test_cli_default_grid(self, nom_ex2):
+        grid = default_grid()
+        assert same_bits(_sine_grid(nom_ex2.M22, grid), sine_response_stack(nom_ex2.M22, grid))
+
+    @pytest.mark.parametrize("case", STEPPED_CASES)
+    def test_stepped_cases(self, case):
+        g, omega, kwargs = stepped_case(case)
+        grid = [omega, 0.3 * omega, 1.7 * omega]
+        kwargs = front_kwargs(kwargs)
+        assert same_bits(_sine_grid(g, grid, **kwargs), sine_response_stack(g, grid, **kwargs))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_random_nominals(self, n):
+        plant, ctrl = load_perfbench("workloads").random_lqg_instance(
+            np.random.default_rng(101), n)
+        M22 = build_nominal(plant, ctrl).M22
+        grid = default_grid(12)
+        assert same_bits(_sine_grid(M22, grid), sine_response_stack(M22, grid))
+
+    def test_scalar_front_at_every_tested_frequency(self, nom_ex2):
+        lag_one = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        cases = [(lag_one, 1.0, {}), (lag_one, 0.01, {"settle_cycles": 2, "sample_cycles": 1})]
+        cases += [(nom_ex2.M22, w, {}) for w in (0.01, 0.1, 0.3, 1.0, 10.0, 100.0)]
+        for case in STEPPED_CASES:
+            g, omega, kwargs = stepped_case(case)
+            cases.append((g, omega, front_kwargs(kwargs)))
+        for g, omega, kwargs in cases:
+            assert same_bits(sine_response(g, omega, **kwargs),
+                             sine_response_scalar(g, omega, **kwargs)), (omega, kwargs)
+
+    def test_identify_m22_fits_the_reference_stack(self, nom_ex2):
+        grid = default_grid()
+        degrees = {ij: (len(num) - 1, len(den) - 1) for ij, (num, den) in M22_ENTRIES.items()}
+        fits = identify_m22(nom_ex2.M22, grid, degrees, mode="sine")
+        ref = sine_response_stack(nom_ex2.M22, grid)
+        for (i, j), (n1, n2) in degrees.items():
+            want = fit_rational(grid, ref[:, i, j], n1, n2)
+            assert same_bits(fits[i][j].num, want.num) and same_bits(fits[i][j].den, want.den)
+        assert all(fits[i][j] is None for i, j in M22_ZERO_ENTRIES)
+
+    @pytest.mark.parametrize("case", GRID_ERRORS)
+    def test_raises_as_the_first_failing_frequency(self, factorizations, case):
+        g, grid, kwargs, named = GRID_ERRORS[case]
+        with pytest.raises(ValueError) as want:
+            sine_response_stack(g, grid, **kwargs)
+        factorizations.clear()
+        with pytest.raises(ValueError) as got:
+            _sine_grid(g, grid, **kwargs)
+        assert str(got.value) == str(want.value)
+        assert named in str(got.value)
+        assert "solve" not in factorizations
+
+    def test_stacked_powers_multiply_as_matrix_power(self, rng):
+        # exponents 0 to 3 take matrix_power's short cuts, larger ones its
+        # binary chain; both exponent arrays share one squaring chain
+        P = rng.normal(size=(10, 4, 4)) + 1j * rng.normal(size=(10, 4, 4))
+        P *= 0.9 / np.abs(np.linalg.eigvals(P)).max(axis=1)[:, None, None]
+        small, large = np.arange(10), np.array([17, 64, 100, 255, 256, 1000, 3, 2, 1, 0])
+        powers = _stacked_powers(P, (small, large))
+        for k in range(len(P)):
+            assert same_bits(powers[0, k], np.linalg.matrix_power(P[k], int(small[k])))
+            assert same_bits(powers[1, k], np.linalg.matrix_power(P[k], int(large[k])))
+
+    def test_empty_grid(self, nom_ex2):
+        out = _sine_grid(nom_ex2.M22, [])
+        assert out.shape == (0, 3, 3) and out.dtype == complex
+
+    def test_rejects_a_grid_that_is_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            _sine_grid(lag_half(), [[1.0, 2.0]])
 
 
 class TestGridAndSamples:
