@@ -7,9 +7,14 @@ equation on it; a `StateSpace` keeps its form, and callers holding a raw
 matrix factor it here.  A form is one direct LAPACK gees call, whose
 workspace size is queried once per matrix order and kept; a Python wrapper
 around gees would cost several times the call on the 2 x 2 and 3 x 3 loops
-of an LQR descent.  A matrix already quasi-triangular (a block-triangular
-product of blocks in Schur coordinates) is its own form and is not factored,
-and a stable-first form is a reorder of a form (`stable_first_form`), not a
+of an LQR descent.  A caller that needs only the eigenvalues takes them from
+`spectrum`, the same gees call without Schur vectors.  A matrix already
+quasi-triangular is its own form (T = A, Z = I).  A matrix that arrives
+from outside is sniffed for that (`schur_form`); a matrix composed from
+blocks whose forms are known gets its form composed with it and is neither
+sniffed nor factored: `own_form` for a block-triangular product of blocks in
+Schur coordinates, `block_diagonal_form` for a block-diagonal sum.  A
+stable-first form is a reorder of a form (`stable_first_form`), not a
 second factorization.  Every Lyapunov and Sylvester solve is one
 Bartels-Stewart routine (`solve`) that refuses near-singular equations and
 certifies its result by an independently recomputed residual.  An equation
@@ -106,6 +111,11 @@ class SchurForm:
         """A is its own form: T is A and Z = I."""
         return self.T is self.A
 
+    def on(self, A) -> "SchurForm":
+        """This form on A, a read-only matrix equal to self.A: T is A when the
+        form is its own."""
+        return SchurForm(A, A if self.own else self.T, self.Z, self.eigs)
+
 
 def _square(M, name):
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -121,7 +131,8 @@ def _fro(x) -> float:
     return np.sqrt(x.dot(x))
 
 
-def _form(A, T, Z):
+def _eigs(T):
+    """The eigenvalues of quasi-triangular T, read off its diagonal blocks."""
     eigs = T.diagonal().astype(complex)
     sub = T.diagonal(-1)
     if sub.any():  # T has 2x2 blocks: read their complex pairs
@@ -130,6 +141,10 @@ def _form(A, T, Z):
         re = 0.5 * (a + d)
         im = np.sqrt(np.maximum(-b * c - 0.25 * (a - d) ** 2, 0.0))
         eigs[k], eigs[k + 1] = re + 1j * im, re - 1j * im
+    return eigs
+
+
+def _form(A, T, Z, eigs):
     for arr in (T, Z, eigs):
         arr.setflags(write=False)
     return SchurForm(A, T, Z, eigs)
@@ -153,29 +168,71 @@ def _no_sort(wr, wi):
     """gees's eigenvalue selector; never called, as no ordering is asked."""
 
 
+def _gees(A, compute_v):
+    """T, and Z when compute_v, of square A with n >= 1: one LAPACK gees call
+    with the workspace that scipy's schur queries, so T and Z are scipy's
+    bits.  Without Z, T has the same bits: the QR sweeps that update Z never
+    feed back into T."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = A.shape[0]
+    lwork = _GEES_LWORK.get(n)
+    if lwork is None:
+        lwork = _GEES_LWORK[n] = int(dgees(_no_sort, A, lwork=-1)[-2][0])
+    T, _, _, _, Z, _, info = dgees(_no_sort, A, compute_v=compute_v, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Z
+
+
 def schur_form(A) -> SchurForm:
-    """The real Schur form of a square matrix: one LAPACK gees call with the
-    workspace that scipy's schur queries, so T and Z are scipy's bits.  A
-    non-finite A raises ValueError and a failed QR iteration LinAlgError, with
-    scipy's messages.  A matrix of three or more rows already in standardized
-    real Schur form is its own form (T = A, Z = I): a block-triangular system
-    assembled from blocks in Schur coordinates is factored for free."""
+    """The real Schur form of a square matrix: one LAPACK gees call (`_gees`).
+    A non-finite A raises ValueError and a failed QR iteration LinAlgError,
+    with scipy's messages.  A matrix of three or more rows already in
+    standardized real Schur form is its own form (T = A, Z = I), copied
+    first unless it is read-only: a matrix from outside is sniffed for that
+    (`_is_quasi_triangular`), as a composite whose form is not known is."""
     A = _square(A, "A")
     n = A.shape[0]
     if n == 0:
         return SchurForm(A, A, A, np.zeros(0, complex))
     if _is_quasi_triangular(A):
-        T = A.copy()
-        return _form(T, T, np.eye(n))
-    if not np.isfinite(A).all():
-        raise ValueError("array must not contain infs or NaNs")
-    lwork = _GEES_LWORK.get(n)
-    if lwork is None:
-        lwork = _GEES_LWORK[n] = int(dgees(_no_sort, A, lwork=-1)[-2][0])
-    T, _, _, _, Z, _, info = dgees(_no_sort, A, lwork=lwork)
-    if info > 0:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    return _form(A, T, Z)
+        T = A.copy() if A.flags.writeable else A
+        return own_form(T, _eigs(T))
+    T, Z = _gees(A, 1)
+    return _form(A, T, Z, _eigs(T))
+
+
+def spectrum(A) -> np.ndarray:
+    """The eigenvalues of a square matrix, bit for bit `schur_form(A).eigs`,
+    from the same gees call without Schur vectors: for a caller, such as
+    the H-infinity axis test, that needs nothing else."""
+    A = _square(A, "A")
+    if A.shape[0] == 0:
+        return np.zeros(0, complex)
+    return _eigs(A if _is_quasi_triangular(A) else _gees(A, 0)[0])
+
+
+def own_form(T, eigs) -> SchurForm:
+    """The form of T, already in standardized real Schur form, whose
+    eigenvalues `eigs` are known as `_eigs` reads them off T's diagonal: T
+    is its own form (Z = I).  Nothing is checked or factored; the caller
+    composed T from blocks whose forms it holds."""
+    return _form(T, T, np.eye(T.shape[0]), np.asarray(eigs, dtype=complex))
+
+
+def block_diagonal_form(A, fa: SchurForm, fb: SchurForm) -> SchurForm:
+    """The form of A = diag(fa.A, fb.A), composed from its blocks' forms: its
+    own when both are, else T = diag(Ta, Tb) and Z = diag(Za, Zb).  The
+    eigenvalues are fa's then fb's."""
+    eigs = np.concatenate([fa.eigs, fb.eigs])
+    if fa.own and fb.own:
+        return own_form(A, eigs)
+    k, n = fa.T.shape[0], A.shape[0]
+    T, Z = np.zeros((n, n)), np.zeros((n, n))
+    T[:k, :k], T[k:, k:] = fa.T, fb.T
+    Z[:k, :k], Z[k:, k:] = fa.Z, fb.Z
+    return _form(A, T, Z, eigs)
 
 
 def stable_first_form(form: SchurForm) -> tuple[SchurForm, int]:
@@ -184,7 +241,7 @@ def stable_first_form(form: SchurForm) -> tuple[SchurForm, int]:
     T, Z, _, _, k, _, _, info = dtrsen(form.eigs.real < 0, form.T, form.Z, job="N")
     if info:
         raise SolverError("Schur form could not be reordered: eigenvalues too close")
-    return _form(form.A, T, Z), int(k)
+    return _form(form.A, T, Z, _eigs(T)), int(k)
 
 
 def decoupling(form: SchurForm, k: int) -> np.ndarray:

@@ -12,16 +12,19 @@ All operations are pure; `StateSpace` values are immutable after
 construction and safe to share across threads.  Every matrix field of a
 problem record, here and in `lqg` and `youla`, is a `frozen_matrix`: a
 finite, 2-D, read-only float copy.  A system's real Schur form
-(`StateSpace.form`) is computed on first use and kept with it; every
-stability decision, pole, Gramian and H2 value of the system reads that one
-form.
+(`StateSpace.form`) is computed on first use, or composed by the `ss`
+constructor that built it, and kept with it; every stability decision, pole,
+Gramian and H2 value of the system reads that one form.  A system re-wired or
+rescaled from another (`StateSpace.with_io`, `scaled`) shares that system's
+A and form, and `parallel` of two systems whose forms are known composes
+the block-diagonal form from theirs: no part is factored just to compose it.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -43,11 +46,12 @@ HINF_TOL = 1e-10
 AXIS_TOL = 1e-10
 
 
-def frozen_matrix(value, name: str) -> np.ndarray:
+def frozen_matrix(value, name: str, copy: bool = True) -> np.ndarray:
     """value as a finite, 2-D, read-only float copy: the one check of every
     matrix field of a problem record.  A bad value raises DimensionError or
-    ValueError naming the field."""
-    arr = np.array(value, dtype=float, order="C", ndmin=2)
+    ValueError naming the field.  With copy False, a value that already is a
+    C-ordered float array is kept, not copied."""
+    arr = np.array(value, dtype=float, order="C", ndmin=2, copy=True if copy else None)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
@@ -72,17 +76,27 @@ def json_values(data: dict, keys, what: str) -> list:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Immutable state-space realization of a rational transfer matrix."""
+    """Immutable state-space realization of a rational transfer matrix.
+
+    given_form, when given, is a real Schur form of A that the constructor
+    which composed the system hands over; the system keeps it as its `form`, on
+    its own frozen A.  A form on the very read-only, C-ordered matrix passed
+    as A keeps that matrix, not a copy, so the two systems of `with_io`
+    share A and one form."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
+    given_form: InitVar[solvers.SchurForm | None] = None
 
     KEYS = ("A", "B", "C", "D")
 
-    def __post_init__(self):
-        A, B, C, D = (frozen_matrix(getattr(self, k), k) for k in self.KEYS)
+    def __post_init__(self, given_form):
+        keep = (given_form is not None and given_form.A is self.A
+                and self.A.flags.c_contiguous and not self.A.flags.writeable)
+        A = frozen_matrix(self.A, "A", copy=not keep)
+        B, C, D = (frozen_matrix(getattr(self, k), k) for k in self.KEYS[1:])
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionError(f"A must be square, got {A.shape}")
@@ -95,6 +109,11 @@ class StateSpace:
                 f"D has shape {D.shape}, expected {(C.shape[0], B.shape[1])}"
             )
         set_fields(self, A=A, B=B, C=C, D=D)
+        if given_form is not None:
+            if given_form.A.shape != A.shape:
+                raise DimensionError(f"form of a {given_form.A.shape} matrix, A is {A.shape}")
+            # the system's own form, set once here, as `form` would on first use
+            set_fields(self, form=given_form if keep else given_form.on(A))
 
     @property
     def n_states(self) -> int:
@@ -110,8 +129,9 @@ class StateSpace:
 
     @functools.cached_property
     def form(self) -> solvers.SchurForm:
-        # the one real Schur form of A, built on first use; a pure function
-        # of the read-only A, so concurrent first use only computes it twice
+        # the one real Schur form of A, computed on first use, or composed by
+        # the `ss` constructor that built the system; a pure function of the
+        # read-only A, so concurrent first use only computes it twice
         return solvers.schur_form(self.A)
 
     def poles(self) -> np.ndarray:
@@ -123,8 +143,13 @@ class StateSpace:
     def is_strictly_proper(self) -> bool:
         return not np.any(self.D)
 
+    def with_io(self, B, C, D) -> "StateSpace":
+        """The system (A, B, C, D) on this one's A, sharing this one's form
+        (computed here if it is not yet known)."""
+        return StateSpace(self.A, B, C, D, self.form)
+
     def with_feedthrough(self, D) -> "StateSpace":
-        return StateSpace(self.A, self.B, self.C, D)
+        return self.with_io(self.B, self.C, D)
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k).tolist() for k in self.KEYS}
@@ -155,8 +180,13 @@ def static_gain(D) -> StateSpace:
 
 
 def scaled(g: StateSpace, alpha: float) -> StateSpace:
-    """alpha * G(s)."""
-    return StateSpace(g.A, g.B, alpha * g.C, alpha * g.D)
+    """alpha * G(s), on g's A and form."""
+    return g.with_io(g.B, alpha * g.C, alpha * g.D)
+
+
+def _known_form(g: StateSpace) -> solvers.SchurForm | None:
+    # g's form if it is computed or was composed, without computing it
+    return vars(g).get("form")
 
 
 def series(g: StateSpace, h: StateSpace) -> StateSpace:
@@ -177,7 +207,9 @@ def series(g: StateSpace, h: StateSpace) -> StateSpace:
 
 
 def parallel(g: StateSpace, h: StateSpace, sign: int = 1) -> StateSpace:
-    """Realize G(s) + sign * H(s) on a block-diagonal state."""
+    """Realize G(s) + sign * H(s) on a block-diagonal state.  When both forms
+    are known, the sum's is composed from them
+    (`solvers.block_diagonal_form`)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if (g.n_inputs, g.n_outputs) != (h.n_inputs, h.n_outputs):
@@ -189,7 +221,9 @@ def parallel(g: StateSpace, h: StateSpace, sign: int = 1) -> StateSpace:
     B = np.vstack([g.B, h.B])
     C = np.hstack([g.C, sign * h.C])
     D = g.D + sign * h.D
-    return StateSpace(A, B, C, D)
+    fg, fh = _known_form(g), _known_form(h)
+    form = None if fg is None or fh is None else solvers.block_diagonal_form(A, fg, fh)
+    return StateSpace(A, B, C, D, form)
 
 
 def freq_response(g: StateSpace, omega) -> np.ndarray:
@@ -291,7 +325,13 @@ def h2_inner(g: StateSpace, h: StateSpace) -> float:
         raise DimensionError("h2_inner requires matching dimensions")
     _check_h2(g, "h2_inner")
     _check_h2(h, "h2_inner")
-    Y = solvers.solve(g.form, h.form, g.C.T @ h.C, trans_a=True).solution
+    fh = h.form
+    if fh is g.form and h is not g:
+        # two systems on one form (`with_io`): their cross Gramian solves a
+        # Sylvester equation, which `solve` takes for a Lyapunov one on a
+        # single form
+        fh = fh.on(fh.A)
+    Y = solvers.solve(g.form, fh, g.C.T @ h.C, trans_a=True).solution
     return float(np.trace(g.B.T @ Y @ h.B))
 
 
@@ -386,7 +426,7 @@ def _axis_crossings(g: StateSpace, gamma: float) -> np.ndarray:
     S = gamma * np.eye(g.n_outputs) - D @ D.T / gamma
     F = A + B @ np.linalg.solve(R, D.T @ C) / gamma
     H = np.block([[F, B @ np.linalg.solve(R, B.T)], [-C.T @ np.linalg.solve(S, C), -F.T]])
-    eigs = solvers.schur_form(H).eigs
+    eigs = solvers.spectrum(H)
     on_axis = np.abs(eigs.real) <= AXIS_TOL * np.linalg.norm(H, 1)
     return np.sort(eigs.imag[on_axis & (eigs.imag > 0)])
 

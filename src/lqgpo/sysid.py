@@ -373,8 +373,11 @@ def laguerre_coeffs_zeroth(
     Each coefficient is the symmetric difference quotient of the lifted cost
     along the matching basis direction, (J(+c) - J(-c)) / (4c) with
     c = PROBE_STEP; the factor accounts for the derivative carrying twice the
-    sensitivity system.
+    sensitivity system.  Each basis function is factored once: its
+    directions keep its form, and each probe's Q_dyn gets the block-diagonal
+    form of the iterate's and the direction's (`ss.parallel`).
     """
+    it.validate(nom)
     rows, cols = nom.q_rows, nom.q_cols
     out = np.zeros((rows, cols, basis.order + 1))
     for k in range(basis.order + 1):
@@ -385,7 +388,7 @@ def laguerre_coeffs_zeroth(
                 B_emb[:, j] = phi.B[:, 0]
                 C_emb = np.zeros((rows, phi.n_states))
                 C_emb[i, :] = phi.C[0, :]
-                direction = StateSpace(phi.A, B_emb, C_emb, np.zeros((rows, cols)))
+                direction = phi.with_io(B_emb, C_emb, np.zeros((rows, cols)))
                 plus = YoulaIterate(
                     parallel(it.Q_dyn, scaled(direction, PROBE_STEP), 1), it.Q_stat
                 )

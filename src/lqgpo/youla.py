@@ -22,13 +22,15 @@ The cost and S come from one realization of the cost map
 T = [M11 M12] [I; Q M21], whose states are closed loop | Q_dyn | closed loop.
 The nominal blocks are realized once, in the Schur coordinates of the
 closed-loop form that `close_loop` made, and each iterate's Q_dyn is put in
-its own, so T's state matrix is quasi-triangular and is its own Schur form
-(`solvers.schur_form`).  The cost is read off T's observability Gramian X_T,
-and S is T's state matrix with an input map from one Sylvester solve and an
-output map from the closed-loop rows of X_T (see `sensitivity`): no product
-with a para-conjugate is formed and nothing is split into stable and
-anti-stable parts.  Per iterate, only Q_dyn and the truncated systems are
-factored.
+its own, so T's state matrix is quasi-triangular.  T is assembled in one
+pass and built with its form: its own (T is A, Z = I), with the closed
+loop's eigenvalues, Q_dyn's and the closed loop's again, so it is neither
+sniffed nor factored.  The cost is read off T's observability Gramian X_T,
+and S is T's state matrix, on T's form, with an input map from one
+Sylvester solve and an output map from the closed-loop rows of X_T (see
+`sensitivity`): no product with a para-conjugate is formed and nothing is
+split into stable and anti-stable parts.  Per iterate, only the truncated
+systems are factored, and a cost probe factors nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from .errors import DimensionError, UnstableError
 from .lqg import (ClosedLoop, DynController, LqgPlant, close_loop, free_entries, lqg_cost,
                   mask_block)
-from .solvers import SchurForm, solve
+from .solvers import SchurForm, own_form, solve
 from .ss import (
     StateSpace,
     frozen_matrix,
@@ -70,8 +72,9 @@ TRUNC_TOL = 1e-9
 
 
 def _on_basis(g: StateSpace, form: SchurForm) -> StateSpace:
-    """g realized in the Schur coordinates of `form`, a form of g.A."""
-    return StateSpace(form.T, form.Z.T @ g.B, g.C @ form.Z, g.D)
+    """g realized in the Schur coordinates of `form`, a form of g.A: its
+    state matrix form.T is its own form."""
+    return StateSpace(form.T, form.Z.T @ g.B, g.C @ form.Z, g.D, own_form(form.T, form.eigs))
 
 
 @dataclass(frozen=True)
@@ -188,16 +191,34 @@ def _performance_map(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     """The cost map T = M11 + M12 (Q_dyn + Q_stat) M21, strictly proper.
 
     It is realized as [M11 M12] [I; Q M21], with states closed loop | Q_dyn |
-    closed loop, so its A is block upper triangular with quasi-triangular
-    diagonal blocks: it is its own Schur form.  Its feedthrough D12 Q_stat D21
-    reads only Q_stat's mask block, which `validate` requires to be exactly 0.
+    closed loop, Q in Q_dyn's Schur coordinates.  Its A is block upper
+    triangular with quasi-triangular diagonal blocks, so T is built with its
+    own form, whose eigenvalues are its blocks'.  The blocks are assembled in
+    one pass from the products `series` forms for Q M21 and then for
+    [M11 M12] times [I; Q M21], so every entry has their bits.  Its
+    feedthrough D12 Q_stat D21 reads only Q_stat's mask block, which
+    `validate` requires to be exactly 0.
     """
     it.validate(nom)
-    qm = series(_on_basis(it.combined(), it.Q_dyn.form), nom.M21)
-    w = nom.M21.n_inputs  # the noise channels, passed to M11 unchanged
-    tail = StateSpace(qm.A, qm.B, np.vstack([np.zeros((w, qm.n_states)), qm.C]),
-                      np.vstack([np.eye(w), qm.D]))
-    return series(nom._head, tail)
+    fq, head, M21 = it.Q_dyn.form, nom._head, nom.M21
+    Bq, Cq, Dq = fq.Z.T @ it.Q_dyn.B, it.Q_dyn.C @ fq.Z, it.Q_stat
+    nc, nq, w = M21.n_states, fq.T.shape[0], M21.n_inputs
+    # [I; Q M21]: the noise channels pass to M11 unchanged
+    C_tail = np.zeros((w + Dq.shape[0], nq + nc))
+    C_tail[w:, :nq] = Cq
+    C_tail[w:, nq:] = Dq @ M21.C
+    D_tail = np.vstack([np.eye(w), Dq @ M21.D])
+    A = np.zeros((2 * nc + nq, 2 * nc + nq))
+    A[:nc, :nc] = head.A
+    A[:nc, nc:] = head.B @ C_tail
+    A[nc:nc + nq, nc:nc + nq] = fq.T
+    A[nc:nc + nq, nc + nq:] = Bq @ M21.C
+    A[nc + nq:, nc + nq:] = M21.A
+    B = np.vstack([head.B @ D_tail, Bq @ M21.D, M21.B])
+    C = np.hstack([head.C, head.D @ C_tail])
+    eigs = nom.cl.form.eigs
+    return StateSpace(A, B, C, head.D @ D_tail,
+                      own_form(A, np.concatenate([eigs, fq.eigs, eigs])))
 
 
 def _cost_and_sensitivity(
@@ -212,9 +233,9 @@ def _cost_and_sensitivity(
     M12, M21 = nom.M12, nom.M21
     # A_T W + W A21^T + B_T B21^T = 0
     W = solve(T.form, M21.form, T.B @ M21.B.T, trans_b=True).solution
-    S = StateSpace(T.A, W @ M21.C.T + T.B @ M21.D.T,
-                   M12.B.T @ X[:M12.n_states] + M12.D.T @ T.C,
-                   np.zeros((M12.n_inputs, M21.n_outputs)))
+    # S on T's A and form: its gap, norm and radius are T's, computed once
+    S = T.with_io(W @ M21.C.T + T.B @ M21.D.T, M12.B.T @ X[:M12.n_states] + M12.D.T @ T.C,
+                  np.zeros((M12.n_inputs, M21.n_outputs)))
     return (cost, *minreal_h2(S, TRUNC_TOL))
 
 
@@ -242,7 +263,7 @@ def sensitivity(nom: NominalLft, it: YoulaIterate) -> StateSpace:
     Bterm (`lqg.build_certificate_matrices`).
 
     Before its truncation S is exactly strictly proper and has T's
-    quasi-triangular state matrix, its own Schur form.
+    quasi-triangular state matrix and T's form, its own.
     """
     return _cost_and_sensitivity(nom, it)[1]
 

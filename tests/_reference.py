@@ -18,7 +18,8 @@ eigendecomposition factor of a Gramian that balanced truncation used, where
 `solvers.psd_factor` now runs a pivoted Cholesky factorization; and the
 static Gram matrix of the lifted cost by differences of the gradient
 carrier, where `youla.static_quadratic_form` builds it from the
-realizations.  The para-conjugate and the stable projection, which only
+realizations; and the cost map as two `series` calls and a stacked tail,
+where `youla._performance_map` assembles it in one pass with its form.  The para-conjugate and the stable projection, which only
 these references build on, live here too.
 
 The optimal-controller matrices are two-decimal reference values; note the
@@ -277,6 +278,20 @@ def sensitivity_dense(nom, it):
     S = stable_projection(total)
     S = S.with_feedthrough(np.zeros((S.n_outputs, S.n_inputs)))
     return minreal(S, TRUNC_TOL)
+
+
+def performance_map_series(nom, it):
+    """`youla._performance_map` as it was built from intermediate systems:
+    Q in Q_dyn's Schur coordinates in series with M21, the noise channels
+    stacked on top, and [M11 M12] in series with that.  Its form is not
+    handed over: it is sniffed on first use."""
+    it.validate(nom)
+    q, form = it.combined(), it.Q_dyn.form
+    qm = series(StateSpace(form.T, form.Z.T @ q.B, q.C @ form.Z, q.D), nom.M21)
+    w = nom.M21.n_inputs  # the noise channels, passed to M11 unchanged
+    tail = StateSpace(qm.A, qm.B, np.vstack([np.zeros((w, qm.n_states)), qm.C]),
+                      np.vstack([np.eye(w), qm.D]))
+    return series(nom._head, tail)
 
 
 def lifted_cost_dense(nom, it):

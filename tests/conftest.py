@@ -70,6 +70,20 @@ def factorizations(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def sniffs(monkeypatch):
+    """The matrices that solvers checks for being their own Schur form
+    (`solvers._is_quasi_triangular`), in call order."""
+    seen = []
+
+    def recorded(A, _orig=solvers._is_quasi_triangular):
+        seen.append(A)
+        return _orig(A)
+
+    monkeypatch.setattr(solvers, "_is_quasi_triangular", recorded)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def plant1():
     return example1_plant()

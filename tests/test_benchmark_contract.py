@@ -133,3 +133,19 @@ def test_toy_round_passes_the_benchmark_checks(run, spans, workloads, workload):
         assert tracer.nesting_violations() == 0
         counters.append(tracer.counters)
     assert counters[0] and counters[0] == counters[1]
+
+
+@pytest.mark.parametrize("workload", ["lifted-descent", "estimation"])
+def test_toy_round_outputs_match_the_series_cost_map(run, workloads, workload, monkeypatch):
+    # the cost map assembled in one pass with its form gives every output of
+    # the map built from `series` calls, whose form is sniffed, bit for bit
+    from _reference import performance_map_series
+    from lqgpo import youla
+
+    def outputs():
+        jobs = workloads.WORKLOADS[workload].make_round(np.random.default_rng(101), "toy")
+        return [(x.job.name, x.failures, repr(run.plain(x.out))) for x in run.run_round(jobs, 0)]
+
+    composed = outputs()
+    monkeypatch.setattr(youla, "_performance_map", performance_map_series)
+    assert composed == outputs()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import duplicated, random_spd, stiff_plant
+from conftest import duplicated, load_perfbench, random_spd, same_bits, stiff_plant
 from lqgpo import solvers
 from lqgpo.errors import DimensionError, SolverError
 from lqgpo.lqg import LqrProblem, close_loop, lqr_optimal, lqr_terms, performance_realization
@@ -253,6 +253,82 @@ def test_quasi_triangular_is_its_own_form(factorizations):
     assert np.array_equal(form.T, T)
     assert np.array_equal(form.Z, np.eye(4))
     np.testing.assert_allclose(form.eigs, [-1 + 6**0.5 * 1j, -1 - 6**0.5 * 1j, -2, 3])
+
+
+def test_read_only_quasi_triangular_is_not_copied():
+    T = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
+    writable = solvers.schur_form(T)
+    assert writable.own and writable.T is not T and T.flags.writeable
+    T.setflags(write=False)
+    form = solvers.schur_form(T)
+    assert form.own and form.A is T
+
+
+def test_own_and_block_diagonal_forms(factorizations):
+    # composed forms: nothing is factored, and each is a read-only real
+    # Schur form of its matrix
+    rng = np.random.default_rng(3)
+    fa, fb = solvers.schur_form(rng.normal(size=(4, 4))), solvers.schur_form(rng.normal(size=(3, 3)))
+    own = solvers.schur_form(np.triu(rng.normal(size=(3, 3))))
+    factorizations.clear()
+    for f, g in ((fa, fb), (fa, own), (own, own)):
+        k, n = f.A.shape[0], f.A.shape[0] + g.A.shape[0]
+        A = np.zeros((n, n))
+        A[:k, :k], A[k:, k:] = f.A, g.A
+        form = solvers.block_diagonal_form(A, f, g)
+        assert form.A is A and form.own == (f.own and g.own)
+        assert same_bits(form.eigs, np.concatenate([f.eigs, g.eigs]))
+        assert not any(arr.flags.writeable for arr in (form.T, form.Z, form.eigs))
+        np.testing.assert_allclose(form.Z @ form.T @ form.Z.T, A, atol=1e-12)
+        np.testing.assert_allclose(form.Z.T @ form.Z, np.eye(n), atol=1e-14)
+        assert not np.tril(form.T, -2).any()
+    assert factorizations == {}
+    T = np.triu(rng.normal(size=(4, 4)))
+    form = solvers.own_form(T, T.diagonal())
+    assert form.own and form.T is T and np.array_equal(form.Z, np.eye(4))
+    assert form.eigs.dtype == complex and not T.flags.writeable
+
+
+def test_spectrum_edge_cases(factorizations):
+    assert solvers.spectrum(np.zeros((0, 0))).shape == (0,)
+    T = np.array([[-1.0, 2.0, 0.5], [-3.0, -1.0, 0.2], [0.0, 0.0, -2.0]])
+    factorizations.clear()
+    assert same_bits(solvers.spectrum(T), solvers.schur_form(T).eigs)
+    assert factorizations == {}  # its own form: read off its diagonal
+    assert same_bits(solvers.spectrum([[-2.0]]), np.array([-2.0 + 0j]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solvers.spectrum([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(DimensionError):
+        solvers.spectrum(np.ones((2, 3)))
+
+
+def test_spectrum_of_the_benchmark_hamiltonians(monkeypatch):
+    # the M12 Hamiltonians of the benchmark's seed-101 random-n8/16/24
+    # instances: one gees without Schur vectors gives the eigenvalues of the
+    # Schur form bit for bit, so hinf_norm_est's values do not move
+    from lqgpo import ss
+    from lqgpo.youla import build_nominal
+
+    workloads = load_perfbench("workloads")
+    rng = np.random.default_rng(101)
+    hamiltonians = []
+    monkeypatch.setattr(solvers, "spectrum",
+                        lambda A, _orig=solvers.spectrum: hamiltonians.append(A) or _orig(A))
+    for n in (8, 16, 24):
+        ss.hinf_norm_est(build_nominal(*workloads.random_lqg_instance(rng, n)).M12)
+    monkeypatch.undo()
+    assert {H.shape[0] for H in hamiltonians} == {32, 64, 96}
+    calls = []
+
+    def recorded(select, A, *args, _orig=solvers.dgees, **kwargs):
+        calls.append((A.shape[0], kwargs.get("compute_v", 1)))
+        return _orig(select, A, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "dgees", recorded)
+    for H in hamiltonians:
+        assert same_bits(solvers.spectrum(H), solvers.schur_form(H).eigs)
+    # one gees each, without Schur vectors for the spectrum
+    assert calls == [(H.shape[0], v) for H in hamiltonians for v in (0, 1)]
 
 
 @pytest.mark.parametrize("block", [[[1.0, 2.0], [-3.0, 4.0]], [[1.0, 2.0], [3.0, 1.0]]],

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import duplicated, freq_response_fast, load_perfbench, random_stable_ss
+from conftest import duplicated, freq_response_fast, load_perfbench, random_stable_ss, same_bits
 from _reference import certificate_system, para_conjugate, psd_factor_eigh, stable_projection
 from lqgpo.benchmarks import example1_plant, example2_controller
 from lqgpo.errors import AxisPoleError, DimensionError, UnstableError
 from lqgpo.lqg import DynController, LqgPlant, LqrProblem
+from lqgpo import solvers
 from lqgpo.solvers import psd_factor
 from lqgpo.ss import (
     HINF_TOL,
@@ -160,6 +161,80 @@ class TestParallel:
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             parallel(lag(), lag(), 2)
+
+
+class TestComposedForms:
+    def test_with_io_shares_a_and_form(self, factorizations):
+        g = random_stable_ss(np.random.default_rng(4), 4, 2, 2)
+        factorizations.clear()
+        h = g.with_io(np.ones((4, 1)), np.ones((3, 4)), np.zeros((3, 1)))
+        assert factorizations == {"schur": 1}  # g's form, computed here once
+        assert h.A is g.A and h.form is g.form
+        for k in (scaled(g, -2.0), g.with_feedthrough(np.ones((2, 2)))):
+            assert k.A is g.A and k.form is g.form
+        assert factorizations == {"schur": 1}
+
+    def test_with_io_on_a_sniffed_own_form(self):
+        g = StateSpace(np.triu(np.ones((3, 3))) - 3.0 * np.eye(3), np.ones((3, 1)),
+                       np.ones((1, 3)), np.zeros((1, 1)))
+        h = scaled(g, 2.0)
+        assert g.form.own and h.form is g.form and h.A is g.A
+
+    def test_parallel_of_known_forms_factors_nothing(self, factorizations):
+        rng = np.random.default_rng(5)
+        g, h = random_stable_ss(rng, 3, 2, 2), random_stable_ss(rng, 2, 2, 2)
+        assert g.is_stable() and h.is_stable()  # both forms computed
+        factorizations.clear()
+        p = parallel(g, h, -1)
+        assert not p.form.own
+        assert same_bits(p.form.eigs, np.concatenate([g.form.eigs, h.form.eigs]))
+        np.testing.assert_allclose(p.form.Z @ p.form.T @ p.form.Z.T, p.A, atol=1e-12)
+        norm = h2_norm_sq(p)
+        assert factorizations.get("schur", 0) == 0
+        assert norm == pytest.approx(h2_norm_sq(parallel(*(
+            StateSpace(k.A, k.B, k.C, k.D) for k in (g, h)), -1)), rel=1e-10)
+
+    def test_parallel_leaves_an_unknown_form_unknown(self, factorizations):
+        rng = np.random.default_rng(6)
+        g, h = random_stable_ss(rng, 3), random_stable_ss(rng, 2)
+        assert g.is_stable()  # g's form computed, h's not
+        factorizations.clear()
+        p = parallel(g, h)
+        assert factorizations == {}
+        assert p.is_stable()  # the sum is factored on first use, as a whole
+        assert factorizations == {"schur": 1}
+
+    def test_small_composite_is_composed(self, factorizations):
+        # two one-state parts: their sum is too small for a sniff, and was
+        # factored by gees; its form is now composed from theirs
+        g, h = lag(1.0), lag(2.0)
+        assert g.is_stable() and h.is_stable()  # both forms computed
+        factorizations.clear()
+        p = parallel(g, h)
+        assert same_bits(p.form.eigs, np.array([-1.0 + 0j, -2.0 + 0j]))
+        assert np.array_equal(p.form.T, p.A) and np.array_equal(p.form.Z, np.eye(2))
+        assert factorizations == {}
+
+    def test_given_form_of_another_size_is_refused(self):
+        with pytest.raises(DimensionError, match="form of a"):
+            StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)),
+                       solvers.schur_form(-np.eye(3)))
+
+    def test_given_form_is_rebuilt_on_the_frozen_a(self):
+        A = np.triu(np.ones((3, 3))) - 3.0 * np.eye(3)
+        g = StateSpace(A, np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1)),
+                       solvers.own_form(A.copy(), A.diagonal()))
+        assert g.form.own and g.form.A is g.A and not g.A.flags.writeable
+
+    def test_h2_inner_of_two_systems_on_one_form(self):
+        # the cross Gramian is a Sylvester equation even on one shared form
+        rng = np.random.default_rng(7)
+        g = random_stable_ss(rng, 4, 2, 1)
+        h = g.with_io(rng.normal(size=(4, 1)), rng.normal(size=(2, 4)), np.zeros((2, 1)))
+        assert h.form is g.form
+        unshared = StateSpace(h.A, h.B, h.C, h.D)
+        assert h2_inner(g, h) == pytest.approx(h2_inner(g, unshared), rel=1e-12)
+        assert h2_inner(g, g) == pytest.approx(h2_norm_sq(g), rel=1e-12)
 
 
 class TestParaConjugate:

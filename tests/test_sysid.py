@@ -525,6 +525,20 @@ class TestDerivativeCoefficients:
         c2 = laguerre_coeffs_zeroth(nom, half, basis)
         assert np.abs(c1 - 2.0 * c2).max() <= 1e-6 * max(1.0, np.abs(c1).max())
 
+    def test_factors_each_basis_function_once(self, nom_ex2, factorizations, sniffs):
+        # each direction keeps its basis function's form, and each probe's
+        # Q_dyn the block-diagonal form of the iterate's and the direction's:
+        # one factorization per function, none per probe
+        basis = LaguerreBasis(1.0, 3)
+        it = YoulaIterate.zero(nom_ex2)
+        laguerre_coeffs_zeroth(nom_ex2, it, basis)
+        factorizations.clear()
+        sniffs.clear()
+        laguerre_coeffs_zeroth(nom_ex2, it, basis)
+        assert factorizations.get("schur", 0) == basis.order + 1
+        # the only matrices sniffed are the basis functions', before their gees
+        assert [A.shape[0] for A in sniffs] == list(range(1, basis.order + 2))
+
 
 class TestReduceOrder:
     def test_exact_recovery_of_rational_expansion(self):

@@ -7,8 +7,8 @@ from conftest import (MASTER_SEED, freq_response_fast, load_perfbench, random_pl
                       random_stabilizing_controller, random_stable_ss, record_schur_forms,
                       same_bits)
 from _reference import (M22_ENTRIES, M22_ZERO_ENTRIES, S0_11_AT_0, assembled_controller_blocks,
-                        certificate_system, lifted_cost_dense, sensitivity_dense,
-                        sensitivity_projection_dense, static_gram_differences)
+                        certificate_system, lifted_cost_dense, performance_map_series,
+                        sensitivity_dense, sensitivity_projection_dense, static_gram_differences)
 from lqgpo import solvers, youla
 from lqgpo.certificate import Verdict, build_certificate_matrices, certify
 from lqgpo.lqg import (DynController, LqgPlant, close_loop, lqg_cost, lqg_optimal,
@@ -73,6 +73,13 @@ def nom_random8():
                      rng.normal(size=(n, 2)), rng.normal(size=(2, n)),
                      random_spd(rng, n), random_spd(rng, 2), random_spd(rng, n), random_spd(rng, 2))
     return build_nominal(plant, random_stabilizing_controller(rng, plant, spread=0.05))
+
+
+@pytest.fixture(scope="module")
+def nom_perfbench8():
+    # the benchmark's `random-n8` lifted-descent instance at seed 101
+    plant, ctrl0 = load_perfbench("workloads").random_lqg_instance(np.random.default_rng(101), 8)
+    return build_nominal(plant, ctrl0)
 
 
 def h2_distance(g, h):
@@ -470,6 +477,73 @@ class TestSchurCoordinates:
         lifted_cost(nom_random8, fresh)
         assert sizes
         assert max(sizes) <= max(q.n_states, S.n_states)
+
+
+class TestOnePassCostMap:
+    # (nominal fixture, step size) of the benchmark's descents
+    CASES = {"stationary": 0.1, "perfbench8": None}
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("which", CASES)
+    def test_matches_the_series_reference(self, which, steps, request):
+        nom = request.getfixturevalue(f"nom_{which}")
+        it = run_lifted_gradient_descent(nom, eta=self.CASES[which], iters=steps)[1]
+        assert (steps == 0) == (it.Q_dyn.n_states == 0)
+        T, ref = _performance_map(nom, it), performance_map_series(nom, it)
+        for key in StateSpace.KEYS:
+            assert same_bits(getattr(T, key), getattr(ref, key)), key
+        # built with its own form: the eigenvalues a sniff of A reads
+        form = T.form
+        assert form.own and form.A is T.A
+        assert np.array_equal(form.Z, np.eye(T.n_states))
+        assert same_bits(form.eigs, solvers.schur_form(np.array(T.A)).eigs)
+        assert same_bits(form.eigs, ref.form.eigs)
+        assert not any(arr.flags.writeable for arr in (form.T, form.Z, form.eigs))
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_static_probe_factors_nothing(self, nom_ex2, steps, factorizations, sniffs):
+        it = run_lifted_gradient_descent(nom_ex2, eta=0.1, iters=steps)[1]
+        it.validate(nom_ex2)
+        U = np.zeros((nom_ex2.q_rows, nom_ex2.q_cols))
+        U[1, 0] = 1.0
+        probe = YoulaIterate(it.Q_dyn, it.Q_stat + U)
+        factorizations.clear()
+        sniffs.clear()
+        lifted_cost(nom_ex2, probe)
+        assert factorizations.get("schur", 0) == 0
+        assert sniffs == []
+
+    def test_iteration_factors_its_two_truncations(self, nom_random8, monkeypatch,
+                                                   factorizations, sniffs):
+        # one iteration factors S's truncation and Q_dyn's; neither T nor S
+        # is sniffed, and S is built on T's A and form
+        L = estimate_smoothness(nom_random8)
+        monkeypatch.setattr(youla, "estimate_smoothness", lambda nom: L)
+        run_lifted_gradient_descent(nom_random8, iters=1)
+        maps, pairs = [], []
+
+        def recorded_map(nom, it, _orig=youla._performance_map):
+            maps.append(_orig(nom, it))
+            return maps[-1]
+
+        def recorded_truncation(g, tol, _orig=youla.minreal_h2):
+            pairs.append((maps[-1], g))
+            return _orig(g, tol)
+
+        monkeypatch.setattr(youla, "_performance_map", recorded_map)
+        monkeypatch.setattr(youla, "minreal_h2", recorded_truncation)
+        counts = []
+        for iters in (2, 3):
+            factorizations.clear()
+            sniffs.clear()
+            run_lifted_gradient_descent(nom_random8, iters=iters)
+            counts.append(factorizations["schur"])
+            # every matrix sniffed is a truncated system's, factored right after
+            assert len(sniffs) == factorizations["schur"]
+            assert not any(A.shape == T.A.shape and np.array_equal(A, T.A)
+                           for A in sniffs for T in maps)
+        assert counts[1] - counts[0] == 2
+        assert pairs and all(S.A is T.A and S.form is T.form for T, S in pairs)
 
 
 class TestReconstruction:
